@@ -8,6 +8,10 @@ cd "$(dirname "$0")"
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The observability crate again in release mode: the flight recorder's
+# concurrent-reader test only races writer against reader reliably with
+# optimised code.
+cargo test --release -q -p megasw-obs
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 

@@ -469,7 +469,7 @@ impl<'a> BatchRun<'a> {
     }
 
     /// Attach a cooperative cancellation token: the batch stops between
-    /// pairs (and inside a large pair at its checkpoint boundaries, via
+    /// pairs (and inside a large pair at its next block-row, via
     /// [`PipelineRun::cancel`]) and returns [`PipelineError::Cancelled`]
     /// once the token is set. Already-finished pairs are simply dropped
     /// with the report — cancellation never corrupts the platform.
@@ -519,8 +519,8 @@ impl<'a> BatchRun<'a> {
 
         // ── Large pairs: serial, full surviving platform, in-run recovery.
         for &idx in &plan.large {
-            // Between-pairs cancellation point (a large pair also polls the
-            // token at its own checkpoint boundaries below).
+            // Between-pairs cancellation point (a large pair's workers also
+            // poll the token at every block-row below).
             if self.is_cancelled() {
                 return Err(MegaswError::Pipeline(PipelineError::Cancelled));
             }

@@ -21,7 +21,11 @@
 //!
 //! The store is deliberately dumb: a mutex around per-attempt logs. It is
 //! written once per device per checkpoint wave — far off the per-block hot
-//! path — so contention is irrelevant.
+//! path — so contention is irrelevant. It holds only what
+//! [`CheckpointStore::newest_complete`] can still return: when a wave
+//! completes, every older wave of every attempt is dropped, so a long
+//! recovering run keeps one full-width wave plus the partial waves in
+//! flight instead of every wave it ever took.
 
 use megasw_sw::{BestCell, Score};
 use std::collections::BTreeMap;
@@ -177,6 +181,26 @@ impl CheckpointStore {
             best,
             watermark,
         });
+        if entry.iter().all(Option::is_some) {
+            // `newest_complete` can never serve a wave older than this
+            // one again, whichever attempt holds it.
+            for log in &mut inner.attempts {
+                log.waves = log.waves.split_off(&wave);
+            }
+        }
+    }
+
+    /// `(attempt, wave)` of every wave the store still holds, complete or
+    /// not, in attempt then wave order.
+    #[cfg(test)]
+    fn held_waves(&self) -> Vec<(usize, usize)> {
+        let inner = self.inner.lock().unwrap();
+        inner
+            .attempts
+            .iter()
+            .enumerate()
+            .flat_map(|(a, log)| log.waves.keys().map(move |&w| (a, w)))
+            .collect()
     }
 
     /// Total segments deposited across the run (the `checkpoints_taken`
@@ -293,5 +317,32 @@ mod tests {
         assert_eq!(ck.best, BestCell::new(9, 1, 1));
         // The watermark floor is the serving attempt's base best score.
         assert_eq!(ck.watermark, 9);
+    }
+
+    #[test]
+    fn completed_wave_drops_every_older_wave_in_every_attempt() {
+        let store = CheckpointStore::new(8);
+        let (h, f) = seg(4, 1);
+        let a0 = store.begin_attempt(0, BestCell::ZERO, &[(1, 4), (5, 4)]);
+        store.record(a0, 2, 0, &h, &f, BestCell::ZERO, 0);
+        store.record(a0, 2, 1, &h, &f, BestCell::ZERO, 0);
+        store.record(a0, 4, 0, &h, &f, BestCell::ZERO, 0);
+        // Wave 2 is the newest complete; partial wave 4 rides along.
+        assert_eq!(store.held_waves(), vec![(0, 2), (0, 4)]);
+        store.record(a0, 4, 1, &h, &f, BestCell::ZERO, 0);
+        store.record(a0, 6, 1, &h, &f, BestCell::ZERO, 0);
+        assert_eq!(store.held_waves(), vec![(0, 4), (0, 6)]);
+        // A resumed attempt completing a newer wave also drops attempt 0's
+        // older waves, complete (4) and partial (6) alike.
+        let a1 = store.begin_attempt(4, BestCell::ZERO, &[(1, 8)]);
+        let (h8, f8) = seg(8, 2);
+        store.record(a1, 8, 0, &h8, &f8, BestCell::new(5, 1, 1), 0);
+        assert_eq!(store.held_waves(), vec![(1, 8)]);
+        let ck = store.newest_complete().unwrap();
+        assert_eq!(ck.wave, 8);
+        assert_eq!(ck.h, vec![2; 9]);
+        assert_eq!(ck.best, BestCell::new(5, 1, 1));
+        // Every deposit still counts, kept or dropped.
+        assert_eq!(store.checkpoints_taken(), 6);
     }
 }

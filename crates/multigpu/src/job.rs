@@ -153,8 +153,8 @@ impl JobSpec {
     /// Execute on `platform` with the executor-level defaults: `base` for
     /// jobs without a config override, `recovery` for device-loss
     /// survival, optional live telemetry and an optional cooperative
-    /// cancellation token (polled at checkpoint boundaries / between
-    /// pairs). Scores are bit-identical to solo runs of the same pairs.
+    /// cancellation token (polled by the pipeline workers at every
+    /// block-row and by the batch engine between pairs). Scores are bit-identical to solo runs of the same pairs.
     pub fn execute(
         &self,
         platform: &Platform,

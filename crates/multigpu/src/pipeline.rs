@@ -113,10 +113,10 @@ pub enum PipelineError {
     DeviceFault { device: usize, block_row: usize },
     /// A neighbour's failure surfaced through the ring.
     RingPoisoned { device: usize },
-    /// The run observed its cancellation token (set via
-    /// [`PipelineRun::cancel`]) at a checkpoint boundary and stopped
-    /// cooperatively. Not a fault: nothing is blacklisted and the queue
-    /// owner may resubmit.
+    /// A worker observed the run's cancellation token (set via
+    /// [`PipelineRun::cancel`]) at the top of a block-row and stopped
+    /// cooperatively. Not a fault: nothing is blacklisted, the platform
+    /// stays reusable and the queue owner may resubmit.
     Cancelled,
 }
 
@@ -130,7 +130,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::RingPoisoned { device } => {
                 write!(f, "device {device} observed a poisoned ring")
             }
-            PipelineError::Cancelled => write!(f, "run cancelled at a checkpoint boundary"),
+            PipelineError::Cancelled => write!(f, "run cancelled at a block-row boundary"),
         }
     }
 }
@@ -438,12 +438,12 @@ impl<'a> PipelineRun<'a> {
         self
     }
 
-    /// Attach a cooperative cancellation token. The run polls it at its
-    /// checkpoint boundaries — before the first attempt, and between
-    /// segments/recovery attempts on the segmented driver — and returns
-    /// [`PipelineError::Cancelled`] once it observes `true`. Workers
-    /// mid-segment finish their segment first: cancellation never tears a
-    /// wave, so the abort is clean and the platform stays reusable.
+    /// Attach a cooperative cancellation token. Every worker polls it at
+    /// the top of every block-row (one relaxed load); the first worker to
+    /// observe `true` stops before that row, poisons its rings like a
+    /// faulted worker so its neighbours stop too, and the run returns
+    /// [`PipelineError::Cancelled`]. A token that is never set costs
+    /// nothing else: the run takes the same driver as a run without one.
     pub fn cancel(mut self, token: Arc<AtomicBool>) -> Self {
         self.cancel = Some(token);
         self
@@ -453,28 +453,7 @@ impl<'a> PipelineRun<'a> {
     pub fn run(self) -> Result<RunReport, MegaswError> {
         let flight = self.flight.clone();
         let dump = self.flight_dump.clone();
-        // A cancellation token needs boundaries to act on: with a
-        // checkpoint cadence configured, drive through the segmented
-        // engine (recovery may still be None) so the token is polled at
-        // every checkpoint boundary instead of only before the run.
-        let segmented_for_cancel = self.recovery.is_none()
-            && self.cancel.is_some()
-            && self.config.policy.checkpoint.rows_interval().is_some();
         let result = match self.recovery {
-            None if segmented_for_cancel => run_pipeline_segmented(
-                self.a,
-                self.b,
-                self.platform,
-                &self.config,
-                &self.faults,
-                None,
-                self.semantics,
-                &self.observer,
-                self.live.as_ref(),
-                self.flight.as_ref(),
-                self.cancel.as_deref(),
-            )
-            .map_err(MegaswError::from),
             None => run_pipeline_live(
                 self.a,
                 self.b,
@@ -536,6 +515,25 @@ struct DevicePartial {
     simd_rescue_ns: u64,
     /// SIMD→scalar rescues this worker's thread triggered.
     simd_rescues: u64,
+}
+
+impl DevicePartial {
+    /// Fold the phase clocks of the same device's `earlier` completed
+    /// segment into this one, so a segmented run's report attributes the
+    /// device's whole makespan rather than its last segment only. Cells
+    /// and pruning counts stay per-attempt: the coverage identity in
+    /// `assemble_report` counts earlier segments through the checkpoint.
+    fn carry(&mut self, earlier: &DevicePartial) {
+        if earlier.busy_ns > 0 {
+            self.first_kernel_start_ns = earlier.first_kernel_start_ns;
+        }
+        self.busy_ns += earlier.busy_ns;
+        self.wait_input_ns += earlier.wait_input_ns;
+        self.wait_output_ns += earlier.wait_output_ns;
+        self.checkpoint_ns += earlier.checkpoint_ns;
+        self.prune_skip_ns += earlier.prune_skip_ns;
+        self.simd_rescue_ns += earlier.simd_rescue_ns;
+    }
 }
 
 /// The engine behind the builder, with optional in-flight telemetry. Live
@@ -605,6 +603,7 @@ pub(crate) fn run_pipeline_live(
         flight,
         resume: None,
         ckpt: None,
+        cancel,
     });
     let wall_ns = obs.now_ns().saturating_sub(run_start_ns);
     let partials = collect_attempt(outcome.results).map_err(|f| f.error)?;
@@ -719,19 +718,9 @@ pub(crate) fn run_pipeline_segmented(
     let cells_at = |row: usize| ((row * block_h).min(m) as u128) * n as u128;
     // Segment length in block-rows: a multiple of the checkpoint interval,
     // so every boundary wave is deposited by the regular cadence check.
-    // `Off` runs one segment spanning the whole matrix — unless a
-    // cancellation token is attached, in which case segments shrink to the
-    // checkpoint cadence so the loop-top cancellation check really fires
-    // at every checkpoint boundary rather than once per run.
+    // `Off` runs one segment spanning the whole matrix.
     let (rb_threshold, seg_rows) = match rb_mode {
-        RebalanceMode::Off => (
-            f64::INFINITY,
-            if cancel.is_some() {
-                interval.min(rows)
-            } else {
-                rows
-            },
-        ),
+        RebalanceMode::Off => (f64::INFINITY, rows),
         RebalanceMode::On {
             threshold,
             window_waves,
@@ -750,13 +739,15 @@ pub(crate) fn run_pipeline_segmented(
     // (re-probing on each attempt was measurable overhead on fault-dense
     // schedules).
     let mut calibrated: Option<Vec<f64>> = None;
+    // Each device's phase clocks over the segments completed so far, by
+    // platform index. A failed attempt's clocks are never carried: lost
+    // work lands in `other`.
+    let mut carried: Vec<Option<DevicePartial>> = (0..platform.len()).map(|_| None).collect();
     let run_start_ns = obs.now_ns();
 
     loop {
-        // Cooperative cancellation point: every iteration of this loop is
-        // a checkpoint boundary (segment hand-off or recovery rewind), so
-        // checking here is exactly "cancellation at checkpoint
-        // boundaries". No wave is ever torn mid-flight.
+        // Workers poll the token at every block-row; checking here too
+        // skips spawning an attempt that would stop at its first row.
         if cancelled(cancel) {
             return Err(PipelineError::Cancelled);
         }
@@ -787,9 +778,21 @@ pub(crate) fn run_pipeline_segmented(
                 attempt,
                 interval,
             }),
+            cancel,
         });
         match collect_attempt(outcome.results) {
-            Ok(partials) => {
+            Ok(mut partials) => {
+                // This segment's own effective throughput per device, read
+                // before the earlier segments' clocks are folded in.
+                let rates: Vec<f64> = partials
+                    .iter()
+                    .map(|p| p.cells as f64 / p.busy_ns.max(1) as f64)
+                    .collect();
+                for (slab, p) in slabs.iter().zip(partials.iter_mut()) {
+                    if let Some(earlier) = carried[slab.device].take() {
+                        p.carry(&earlier);
+                    }
+                }
                 if stop_row >= rows {
                     let wall_ns = obs.now_ns().saturating_sub(run_start_ns);
                     recovery_report.checkpoints_taken = store.checkpoints_taken();
@@ -810,6 +813,9 @@ pub(crate) fn run_pipeline_segmented(
                         selection,
                     ));
                 }
+                for (slab, p) in slabs.iter().zip(partials) {
+                    carried[slab.device] = Some(p);
+                }
 
                 // Segment boundary: every worker deposited wave `stop_row`
                 // (a cadence multiple below `rows`) and then joined, so the
@@ -817,10 +823,6 @@ pub(crate) fn run_pipeline_segmented(
                 // from it recomputes nothing.
                 let rb_start_ns = obs.now_ns();
                 rebalance_report.evaluations += 1;
-                let rates: Vec<f64> = partials
-                    .iter()
-                    .map(|p| p.cells as f64 / p.busy_ns.max(1) as f64)
-                    .collect();
                 // Predicted time to finish the remaining rows (common
                 // factors dropped): the laggard under current widths vs. a
                 // split proportional to measured throughput.
@@ -970,6 +972,8 @@ struct AttemptParams<'e> {
     resume: Option<&'e Checkpoint>,
     /// Where workers deposit checkpoints, when recovery is enabled.
     ckpt: Option<CkptCtx<'e>>,
+    /// Cooperative cancellation token, polled by every worker per row.
+    cancel: Option<&'e AtomicBool>,
 }
 
 #[derive(Clone, Copy)]
@@ -1055,6 +1059,7 @@ fn run_attempt(p: AttemptParams<'_>) -> AttemptOutcome {
                     flight: p.flight,
                     resume: p.resume,
                     ckpt: p.ckpt,
+                    cancel: p.cancel,
                     global_watermark,
                 });
                 if result.is_err() {
@@ -1083,14 +1088,17 @@ fn run_attempt(p: AttemptParams<'_>) -> AttemptOutcome {
 }
 
 /// Split an attempt's worker results into success or a root-cause failure.
-/// The root surfaces a `DeviceFault` (in chain order) ahead of secondary
-/// `RingPoisoned` observations; the failure carries the attempt's total
-/// computed cells for the rewind accounting.
+/// Root causes rank `DeviceFault` (first in chain order) over `Cancelled`
+/// over the secondary `RingPoisoned` observations: a cancelled worker
+/// poisons its neighbours' rings, and their poison must not hide the
+/// cancel. The failure carries the attempt's total computed cells for the
+/// rewind accounting.
 fn collect_attempt(
     results: Vec<Result<DevicePartial, WorkerFailure>>,
 ) -> Result<Vec<DevicePartial>, AttemptFailure> {
     let mut cells: u128 = 0;
     let mut fault: Option<PipelineError> = None;
+    let mut cancel: Option<PipelineError> = None;
     let mut poison: Option<PipelineError> = None;
     let mut partials = Vec::with_capacity(results.len());
     let mut failed = false;
@@ -1107,6 +1115,9 @@ fn collect_attempt(
                     e @ PipelineError::DeviceFault { .. } => {
                         fault.get_or_insert(e);
                     }
+                    e @ PipelineError::Cancelled => {
+                        cancel.get_or_insert(e);
+                    }
                     e => {
                         poison.get_or_insert(e);
                     }
@@ -1118,14 +1129,18 @@ fn collect_attempt(
         return Ok(partials);
     }
     Err(AttemptFailure {
-        error: fault.or(poison).expect("failed attempt carries an error"),
+        error: fault
+            .or(cancel)
+            .or(poison)
+            .expect("failed attempt carries an error"),
         cells,
     })
 }
 
-/// Build the final [`RunReport`] from the last (successful) attempt.
+/// Build the final [`RunReport`] from the last (successful) attempt, whose
+/// partials already carry the phase clocks of earlier completed segments.
 /// `base_best` / `base_cells` are what the resumed-from checkpoint already
-/// established; zero for fault-free runs.
+/// established; zero for single-attempt runs.
 #[allow(clippy::too_many_arguments)]
 fn assemble_report(
     m: usize,
@@ -1181,9 +1196,9 @@ fn assemble_report(
                 p.last_kernel_end_ns.saturating_sub(run_start_ns),
                 p.busy_ns,
             );
-            // Phase attribution over the whole run's makespan; for a
-            // recovered run the final attempt's measured phases are what
-            // the survivors did, and the lost attempts land in `other`.
+            // Phase attribution over the whole run's makespan. A segmented
+            // run's partials carry the clocks of every completed segment;
+            // the lost attempts of a recovered run land in `other`.
             let attribution = StallAttribution::from_measured(
                 wall_ns,
                 p.busy_ns,
@@ -1249,13 +1264,17 @@ struct WorkerParams<'e> {
     flight: Option<&'e Arc<FlightRecorder>>,
     resume: Option<&'e Checkpoint>,
     ckpt: Option<CkptCtx<'e>>,
+    cancel: Option<&'e AtomicBool>,
     /// Shared watermark for non-adjacent devices (distributed pruning).
     global_watermark: &'e AtomicI32,
 }
 
 /// The per-device loop.
 ///
-/// Per block-row the phases run in dataflow order — `RingPop` fault check,
+/// Each block-row starts with a poll of the cancellation token; a set
+/// token ends the worker with [`PipelineError::Cancelled`] before the row,
+/// and the attempt poisons its rings exactly as for a fault. Then the
+/// phases run in dataflow order — `RingPop` fault check,
 /// pop, `Compute` fault check, kernels, checkpoint deposit, `RingPush`
 /// fault check, push, `Transfer` fault check — so a scheduled fault kills
 /// the device at a well-defined point regardless of ring topology.
@@ -1279,6 +1298,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         flight,
         resume,
         ckpt,
+        cancel,
         global_watermark,
     } = p;
     let m = a.len();
@@ -1397,6 +1417,12 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         let i1 = ((r + 1) * block_h).min(m) + 1;
         let height = i1 - i0;
         let row = r as u32;
+        if cancelled(cancel) {
+            return Err(WorkerFailure {
+                error: PipelineError::Cancelled,
+                cells,
+            });
+        }
         fly(FlightKind::RowStart, r as u64, obs.now_ns(), 0, 0);
 
         if faults.fires(slab.device, r, FaultPhase::RingPop) {
@@ -2512,6 +2538,147 @@ mod tests {
             .collect();
         assert!(!rebalances.is_empty());
         assert!(rebalances.iter().all(|e| e.aux > 0 && e.dur_ns == 0));
+    }
+
+    /// The deterministic part of a report: everything but the clocks.
+    fn assert_same_result(got: &RunReport, want: &RunReport) {
+        assert_eq!(got.best, want.best);
+        assert_eq!(got.total_cells, want.total_cells);
+        assert_eq!(got.pruning, want.pruning);
+        assert_eq!(got.devices.len(), want.devices.len());
+        for (g, w) in got.devices.iter().zip(&want.devices) {
+            assert_eq!(
+                (g.device, g.slab_j0, g.slab_width, g.cells, g.bytes_sent),
+                (w.device, w.slab_j0, w.slab_width, w.cells, w.bytes_sent)
+            );
+        }
+    }
+
+    /// Run with a token that a watcher thread sets once the live telemetry
+    /// shows an eighth of the matrix done.
+    fn run_cancelled_mid_run(
+        a: &[u8],
+        b: &[u8],
+        platform: &Platform,
+        cfg: &RunConfig,
+        recovery: Option<RecoveryPolicy>,
+    ) -> Result<RunReport, MegaswError> {
+        let total = (a.len() * b.len()) as u64;
+        let live = LiveTelemetry::new(platform.len(), total);
+        let token = Arc::new(AtomicBool::new(false));
+        let finished = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !finished.load(Ordering::Relaxed) {
+                    if live.snapshot().cells_done() >= total / 8 {
+                        token.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            });
+            let mut run = PipelineRun::new(a, b, platform)
+                .config(cfg.clone())
+                .live(Arc::clone(&live))
+                .cancel(Arc::clone(&token));
+            if let Some(policy) = recovery {
+                run = run.recover(policy);
+            }
+            let result = run.run();
+            finished.store(true, Ordering::Relaxed);
+            result
+        })
+    }
+
+    #[test]
+    fn token_set_mid_run_cancels_every_route_and_leaves_the_platform_reusable() {
+        let (a, _) = pair(24_000, 60);
+        let (b, _) = pair(2_000, 61);
+        let (a, b) = (a.codes(), b.codes());
+        let cfg = RunConfig::test_default().with_block(128);
+        let platforms = [
+            Platform::single(catalog::gtx680()),
+            Platform::env1(),
+            Platform::env2(),
+        ];
+        for platform in &platforms {
+            let clean = run_local(a, b, platform, cfg.clone());
+            for recovery in [None, Some(RecoveryPolicy::default())] {
+                let label = format!("{} devices, recovery {recovery:?}", platform.len());
+                match run_cancelled_mid_run(a, b, platform, &cfg, recovery) {
+                    Err(MegaswError::Pipeline(PipelineError::Cancelled)) => {}
+                    other => panic!("{label}: expected Cancelled, got {other:?}"),
+                }
+                let mut rerun = PipelineRun::new(a, b, platform).config(cfg.clone());
+                if let Some(policy) = recovery {
+                    rerun = rerun.recover(policy);
+                }
+                let rerun = rerun.run().unwrap();
+                assert_same_result(&rerun, &clean);
+            }
+        }
+    }
+
+    #[test]
+    fn never_set_token_runs_the_plain_driver() {
+        let (a, b) = pair(3_000, 62);
+        let platform = Platform::env2();
+        let plain = run_local(a.codes(), b.codes(), &platform, RunConfig::test_default());
+        let flight = FlightRecorder::new(platform.len(), 4096);
+        let tokened = PipelineRun::new(a.codes(), b.codes(), &platform)
+            .config(RunConfig::test_default())
+            .flight(Arc::clone(&flight))
+            .cancel(Arc::new(AtomicBool::new(false)))
+            .run()
+            .unwrap();
+        assert_same_result(&tokened, &plain);
+        assert!(tokened.recovery.is_none() && tokened.rebalance.is_none());
+        let events: Vec<_> = (0..platform.len())
+            .flat_map(|lane| flight.events(lane))
+            .collect();
+        assert!(events.iter().any(|e| e.kind == FlightKind::Compute));
+        assert!(
+            events.iter().all(|e| e.kind != FlightKind::Checkpoint),
+            "a token must not route the run through checkpointed segments"
+        );
+    }
+
+    #[test]
+    fn segmented_run_attributes_every_segment() {
+        use crate::config::RebalanceMode;
+        let (a, b) = pair(4_096, 63);
+        let cfg = RunConfig::test_default()
+            .with_checkpoint(CheckpointCadence::EveryRows(8))
+            .with_rebalance(RebalanceMode::On {
+                threshold: 0.0,
+                window_waves: 2,
+            });
+        let total = (a.codes().len() * b.codes().len()) as u64;
+        let live = LiveTelemetry::new(2, total);
+        let report = PipelineRun::new(a.codes(), b.codes(), &Platform::env1())
+            .config(cfg)
+            .live(Arc::clone(&live))
+            .run()
+            .unwrap();
+        let rb = report.rebalance.as_ref().expect("rebalance report present");
+        assert!(rb.evaluations + 1 >= 4, "{} segments", rb.evaluations + 1);
+        let wall_ns = report.wall_time.unwrap().as_nanos() as u64;
+        let s = live.snapshot();
+        for (i, d) in report.devices.iter().enumerate() {
+            let attr = d.attribution.expect("threaded runs attribute phases");
+            assert_eq!(attr.total_ns(), wall_ns, "device {}: {attr}", d.device);
+            assert!(
+                2 * attr.compute_ns >= wall_ns,
+                "device {} computed only {} of {wall_ns} ns: {attr}",
+                d.device,
+                attr.compute_ns
+            );
+            // The live handle accumulates over every segment; the report
+            // now does too.
+            assert_eq!(s.devices[i].wait_input_ns, attr.wait_input_ns);
+            assert_eq!(s.devices[i].wait_output_ns, attr.wait_output_ns);
+            assert_eq!(s.devices[i].checkpoint_ns, attr.checkpoint_ns);
+        }
     }
 
     #[test]

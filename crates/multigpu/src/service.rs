@@ -20,9 +20,9 @@
 //!   Each job gets its own [`LiveTelemetry`] handle at submit time, so
 //!   progress is streamable from the moment it starts running.
 //! * **Cancellation** is cooperative: [`AlignService::cancel`] removes a
-//!   still-queued job outright; a running job has its token set and stops
-//!   at its next checkpoint boundary (single-pair) or pair boundary
-//!   (batch) — see [`PipelineError::Cancelled`]. Terminal jobs are
+//!   still-queued job outright; a running job has its token set, which
+//!   the pipeline workers poll at every block-row and the batch engine
+//!   between pairs — see [`PipelineError::Cancelled`]. Terminal jobs are
 //!   untouched.
 //! * **Device loss is scoped to the job.** Blacklists live inside
 //!   [`PipelineRun`](crate::pipeline::PipelineRun) /
@@ -314,8 +314,8 @@ impl AlignService {
 
     /// Cooperatively cancel a job; returns its state after the request
     /// (`Cancelled` immediately for queued jobs, `Running` for a job that
-    /// will stop at its next checkpoint, unchanged for terminal jobs),
-    /// `None` for unknown ids.
+    /// will stop at its next block-row — or next pair, for a batch's small
+    /// pairs — unchanged for terminal jobs), `None` for unknown ids.
     pub fn cancel(&self, id: u64) -> Option<JobState> {
         let state = self.inner.cancel(id);
         self.inner.publish();

@@ -276,6 +276,7 @@ impl std::fmt::Debug for FlightRecorder {
 mod tests {
     use super::*;
     use crate::json;
+    use std::sync::atomic::AtomicBool;
 
     fn ev(kind: FlightKind, row: u64) -> FlightEvent {
         FlightEvent {
@@ -349,10 +350,17 @@ mod tests {
     fn concurrent_reads_never_observe_torn_events() {
         // One writer hammers a tiny ring while a reader scrapes it; every
         // event the reader sees must be internally consistent (we encode
-        // the row into every payload field so a tear is detectable).
+        // the row into every payload field so a tear is detectable). Both
+        // threads start on a barrier and the reader keeps scraping until
+        // the writer is done, so the scrapes overlap the writes.
         let fr = FlightRecorder::new(1, 4);
         let fr2 = Arc::clone(&fr);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let start2 = Arc::clone(&start);
+        let done = Arc::new(AtomicBool::new(false));
+        let done2 = Arc::clone(&done);
         let writer = std::thread::spawn(move || {
+            start2.wait();
             for row in 0..20_000u64 {
                 fr2.record(
                     0,
@@ -366,15 +374,21 @@ mod tests {
                     },
                 );
             }
+            done2.store(true, Ordering::Release);
         });
         let mut seen = 0usize;
-        for _ in 0..2_000 {
+        start.wait();
+        loop {
+            let finished = done.load(Ordering::Acquire);
             for e in fr.events(0) {
                 seen += 1;
                 assert_eq!(e.t_ns, e.row, "torn event: {e:?}");
                 assert_eq!(e.dur_ns, e.row, "torn event: {e:?}");
                 assert_eq!(e.aux, e.row, "torn event: {e:?}");
                 assert_eq!(e.device as u64, e.row % 7, "torn event: {e:?}");
+            }
+            if finished {
+                break;
             }
         }
         writer.join().unwrap();

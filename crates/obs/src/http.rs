@@ -22,16 +22,19 @@
 //! `GET /jobs/:id/events` (a streamed NDJSON [`Response::Stream`]) and
 //! `DELETE /jobs/:id` without this crate knowing anything about jobs.
 //!
-//! Each accepted connection is served on its own short-lived thread (a
-//! progress stream must not block a Prometheus scrape), and every request
-//! read is bounded by a **total deadline** — not just a per-read timeout.
-//! A half-open or byte-trickling client therefore cannot wedge the
-//! server: the accept loop keeps polling its stop flag every ~25 ms and
-//! the stalled connection is dropped when its deadline expires
-//! (regression-tested below with a half-open socket).
+//! The accept loop blocks in `accept` and wakes only when a client
+//! connects, so a request is picked up the moment it arrives. Shutdown
+//! sets a stop flag and wakes the loop with one loopback connect of its
+//! own, which the loop drops unserved. Each accepted connection is served
+//! on its own short-lived thread (a progress stream must not block a
+//! Prometheus scrape), and every request read is bounded by a **total
+//! deadline** — not just a per-read timeout. A half-open or
+//! byte-trickling client therefore cannot wedge the server: it occupies
+//! only its own connection thread, which drops it when the deadline
+//! expires (regression-tested below with a half-open socket).
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -53,6 +56,15 @@ pub const MAX_BODY_BYTES: usize = 64 << 20;
 
 /// Concurrent connection cap; excess connections get a fast `503`.
 const MAX_CONNECTIONS: usize = 32;
+
+/// Pause after a failed `accept` (e.g. `EMFILE`), so a persistent error
+/// does not spin the listener thread. Never taken on the normal path:
+/// the listener blocks until a client connects.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
+
+/// How long shutdown keeps trying to wake the blocked accept before it
+/// gives up joining the listener thread.
+const WAKE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// One parsed HTTP request as the router sees it: method, path (query
 /// string stripped) and the raw body bytes.
@@ -190,7 +202,7 @@ impl MetricsHub {
 /// [`MetricsServer::shutdown`]) stops the accept loop and joins it;
 /// in-flight connection threads drain on their own deadlines.
 pub struct MetricsServer {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -211,7 +223,6 @@ impl MetricsServer {
         handler: Option<Handler>,
     ) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
@@ -226,7 +237,7 @@ impl MetricsServer {
     }
 
     /// The bound address — the actual port when bound with port `0`.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -235,12 +246,42 @@ impl MetricsServer {
         self.stop_and_join();
     }
 
+    /// Set the stop flag, then wake the accept blocked in the server
+    /// thread with one loopback connect; the woken loop sees the flag and
+    /// drops that connection unserved. The connect is retried only if it
+    /// failed (a momentarily full backlog, say); if it keeps failing past
+    /// [`WAKE_DEADLINE`] the thread is left to exit on its next accepted
+    /// connection rather than hanging the caller.
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        let wake = wake_addr(self.addr);
+        let deadline = Instant::now() + WAKE_DEADLINE;
+        while !handle.is_finished() {
+            if TcpStream::connect_timeout(&wake, Duration::from_millis(250)).is_ok() {
+                break;
+            }
+            if Instant::now() >= deadline {
+                return;
+            }
+            std::thread::sleep(ACCEPT_BACKOFF);
         }
+        let _ = handle.join();
     }
+}
+
+/// Where shutdown connects to wake the listener: the bound address, with
+/// an unspecified IP (`0.0.0.0`, `::`) mapped to the loopback address of
+/// the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(v4) if v4.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(v6) if v6.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 impl Drop for MetricsServer {
@@ -256,53 +297,60 @@ fn serve_loop(
     stop: Arc<AtomicBool>,
 ) {
     let active = Arc::new(AtomicUsize::new(0));
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                if active.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let _ = stream.write_all(
-                        b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-                    );
-                    continue;
-                }
-                active.fetch_add(1, Ordering::Relaxed);
-                let hub = Arc::clone(&hub);
-                let handler = handler.clone();
-                let conn_active = Arc::clone(&active);
-                // One thread per connection: a long-lived event stream (or
-                // a stalled client waiting out its deadline) must not block
-                // the next scrape. A failed spawn only loses that one
-                // connection.
-                let spawned = std::thread::Builder::new()
-                    .name("megasw-http-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_connection(stream, &hub, handler.as_ref());
-                        conn_active.fetch_sub(1, Ordering::Relaxed);
-                    });
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::Relaxed);
-                }
+    loop {
+        let accepted = listener.accept();
+        // Set before shutdown's wake-up connect, so the connection that
+        // woke this accept is dropped here without a handler.
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(_) => {
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
+        };
+        if active.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+            let _ = stream.write_all(
+                b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+            );
+            continue;
+        }
+        active.fetch_add(1, Ordering::Relaxed);
+        let hub = Arc::clone(&hub);
+        let handler = handler.clone();
+        let conn_active = Arc::clone(&active);
+        // One thread per connection: a long-lived event stream (or a
+        // stalled client waiting out its deadline) must not block the
+        // next scrape. A failed spawn only loses that one connection.
+        let spawned = std::thread::Builder::new()
+            .name("megasw-http-conn".to_string())
+            .spawn(move || {
+                let _ = handle_connection(&mut stream, &hub, handler.as_ref());
+                // Release the slot before the close, so a client that
+                // reconnects as soon as it reads EOF never finds it taken.
+                conn_active.fetch_sub(1, Ordering::Relaxed);
+                drop(stream);
+            });
+        if spawned.is_err() {
+            active.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
 
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     hub: &MetricsHub,
     handler: Option<&Handler>,
 ) -> std::io::Result<()> {
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let request = match read_request(&mut stream) {
+    let request = match read_request(stream) {
         Ok(req) => req,
         Err(ReadError::TooLarge) => {
             return write_full(
-                &mut stream,
+                stream,
                 "413 Payload Too Large",
                 "text/plain; charset=utf-8",
                 "request body too large\n",
@@ -319,7 +367,7 @@ fn handle_connection(
             status,
             content_type,
             body,
-        } => write_full(&mut stream, status, content_type, &body),
+        } => write_full(stream, status, content_type, &body),
         Response::Stream {
             status,
             content_type,
@@ -659,6 +707,57 @@ mod tests {
             assert_eq!(v.get("tick").unwrap().as_f64(), Some(i as f64));
         }
         server.shutdown();
+    }
+
+    /// The listener blocks in `accept` instead of polling it, so an idle
+    /// server answers a request as soon as it connects; a 25 ms poll
+    /// would cost about 500 ms over these 20 requests.
+    #[test]
+    fn idle_server_answers_sequential_requests_without_polling_delay() {
+        let hub = hub_with_data();
+        let server = MetricsServer::bind("127.0.0.1:0", hub).unwrap();
+        let addr = server.local_addr().to_string();
+        let t = Instant::now();
+        for _ in 0..20 {
+            let (status, _) = http_get(&addr, "/health").unwrap();
+            assert!(status.contains("200"), "{status}");
+        }
+        let took = t.elapsed();
+        assert!(
+            took < Duration::from_millis(250),
+            "20 sequential GET /health took {took:?}"
+        );
+        server.shutdown();
+    }
+
+    /// Shutdown wakes the blocked accept with a loopback connect, also
+    /// when the server is bound to the unspecified address.
+    #[test]
+    fn shutdown_wakes_the_blocked_accept_promptly() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = MetricsServer::bind(bind, MetricsHub::new()).unwrap();
+            // Let the listener thread reach its blocking accept.
+            std::thread::sleep(Duration::from_millis(20));
+            let t = Instant::now();
+            server.shutdown();
+            let took = t.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "shutdown of a server bound to {bind} took {took:?}"
+            );
+        }
+        assert_eq!(
+            wake_addr("0.0.0.0:9".parse().unwrap()),
+            "127.0.0.1:9".parse().unwrap()
+        );
+        assert_eq!(
+            wake_addr("[::]:9".parse().unwrap()),
+            "[::1]:9".parse().unwrap()
+        );
+        assert_eq!(
+            wake_addr("10.1.2.3:9".parse().unwrap()),
+            "10.1.2.3:9".parse().unwrap()
+        );
     }
 
     /// The stalled-client regression (half-open socket): a connection that
