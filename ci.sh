@@ -12,6 +12,12 @@ cargo test -q --workspace
 # concurrent-reader test only races writer against reader reliably with
 # optimised code.
 cargo test --release -q -p megasw-obs
+# In-place preemption again in release mode: the park/resume/cancel
+# wake-up races of the pipeline workers and the service executor show
+# mainly in optimised builds. The filters select every pipeline and
+# service park/preempt test plus cancel-while-parked.
+cargo test --release -q -p megasw-multigpu --lib -- \
+    park preempt token_set_mid_run_cancels_every_route
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use megasw_multigpu::job::{JobKind, JobOutcome, JobReport, JobSpec};
     pub use megasw_multigpu::memory::{check_platform, plan_for, DeviceMemoryPlan};
     pub use megasw_multigpu::pipeline::{
-        FaultPhase, FaultPlan, FaultSchedule, PipelineRun, ScheduledFault, Semantics,
+        FaultPhase, FaultPlan, FaultSchedule, PipelineRun, RunControl, ScheduledFault, Semantics,
     };
     pub use megasw_multigpu::service::{AlignService, JobState, JobStatus, ServiceConfig};
     pub use megasw_multigpu::stages::{

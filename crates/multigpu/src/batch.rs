@@ -48,7 +48,9 @@ use crate::config::RunConfig;
 use crate::desrun::DesSim;
 use crate::error::MegaswError;
 use crate::job::JobOutcome;
-use crate::pipeline::{FaultSchedule, PipelineError, PipelineRun, ScheduledFault};
+use crate::pipeline::{
+    cancelled, poll, FaultSchedule, PipelineError, PipelineRun, RunControl, ScheduledFault,
+};
 use megasw_gpusim::Platform;
 use megasw_obs::{LiveTelemetry, MetricsRegistry};
 use megasw_seq::fasta::{read_fasta_path, read_single_fasta_path};
@@ -56,7 +58,6 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -426,7 +427,7 @@ pub struct BatchRun<'a> {
     faults: Vec<BatchFault>,
     recovery: Option<RecoveryPolicy>,
     live: Option<Arc<LiveTelemetry>>,
-    cancel: Option<Arc<AtomicBool>>,
+    control: Option<Arc<RunControl>>,
 }
 
 impl<'a> BatchRun<'a> {
@@ -438,7 +439,7 @@ impl<'a> BatchRun<'a> {
             faults: Vec::new(),
             recovery: None,
             live: None,
-            cancel: None,
+            control: None,
         }
     }
 
@@ -468,20 +469,20 @@ impl<'a> BatchRun<'a> {
         self
     }
 
-    /// Attach a cooperative cancellation token: the batch stops between
-    /// pairs (and inside a large pair at its next block-row, via
-    /// [`PipelineRun::cancel`]) and returns [`PipelineError::Cancelled`]
-    /// once the token is set. Already-finished pairs are simply dropped
-    /// with the report — cancellation never corrupts the platform.
-    pub fn cancel(mut self, token: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(token);
+    /// Attach a [`RunControl`]. The batch polls it between pairs, and a
+    /// large pair's workers at every block-row (via
+    /// [`PipelineRun::control`]). A park blocks each device's worker before
+    /// its next pair (or row) until resumed, and the batch then continues
+    /// where it stopped. A cancel stops it there and returns
+    /// [`PipelineError::Cancelled`]. Already-finished pairs are simply
+    /// dropped with the report — cancellation never corrupts the platform.
+    pub fn control(mut self, control: Arc<RunControl>) -> Self {
+        self.control = Some(control);
         self
     }
 
     fn is_cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
+        cancelled(self.control.as_deref())
     }
 
     fn job_config(&self, idx: usize) -> RunConfig {
@@ -519,11 +520,9 @@ impl<'a> BatchRun<'a> {
 
         // ── Large pairs: serial, full surviving platform, in-run recovery.
         for &idx in &plan.large {
-            // Between-pairs cancellation point (a large pair's workers also
-            // poll the token at every block-row below).
-            if self.is_cancelled() {
-                return Err(MegaswError::Pipeline(PipelineError::Cancelled));
-            }
+            // Between-pairs poll point (a large pair's workers also poll
+            // the control at every block-row below).
+            poll(self.control.as_deref())?;
             let job = &self.jobs[idx];
             // Survivor chain, remembering each position's original index.
             let survivors: Vec<usize> = (0..self.platform.len())
@@ -537,8 +536,8 @@ impl<'a> BatchRun<'a> {
                     .collect(),
             );
             let mut run = PipelineRun::new(&job.a, &job.b, &plat).config(self.job_config(idx));
-            if let Some(token) = &self.cancel {
-                run = run.cancel(Arc::clone(token));
+            if let Some(control) = &self.control {
+                run = run.control(Arc::clone(control));
             }
             if let Some(pol) = self.recovery {
                 // Hand the inner run the *remaining* batch-wide budget.
@@ -636,7 +635,7 @@ impl<'a> BatchRun<'a> {
                     let live = self.live.clone();
                     let base = &self.config.base;
                     let recovery = self.recovery;
-                    let cancel = self.cancel.clone();
+                    let control = self.control.clone();
                     let dev = dev.clone();
                     s.spawn(move || {
                         let single = Platform::single(dev);
@@ -644,9 +643,10 @@ impl<'a> BatchRun<'a> {
                             if wq.fatal.lock().unwrap().is_some() {
                                 break;
                             }
-                            // Between-pairs cancellation point: leave the
-                            // rest of the queue untouched and exit.
-                            if cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
+                            // Between-pairs poll point: wait out a park;
+                            // on cancel leave the rest of the queue
+                            // untouched and exit.
+                            if poll(control.as_deref()).is_err() {
                                 break;
                             }
                             let Some(idx) = wq.queue.lock().unwrap().pop_front() else {

@@ -34,12 +34,11 @@ use crate::batch::{percentile, BatchConfig, BatchFault, BatchJob, BatchReport, B
 use crate::checkpoint::RecoveryPolicy;
 use crate::config::RunConfig;
 use crate::error::MegaswError;
-use crate::pipeline::{FaultSchedule, PipelineRun};
+use crate::pipeline::{FaultSchedule, PipelineRun, RunControl};
 use crate::stats::RunReport;
 use megasw_gpusim::Platform;
 use megasw_obs::LiveTelemetry;
 use megasw_sw::BestCell;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -152,16 +151,18 @@ impl JobSpec {
 
     /// Execute on `platform` with the executor-level defaults: `base` for
     /// jobs without a config override, `recovery` for device-loss
-    /// survival, optional live telemetry and an optional cooperative
-    /// cancellation token (polled by the pipeline workers at every
-    /// block-row and by the batch engine between pairs). Scores are bit-identical to solo runs of the same pairs.
+    /// survival, optional live telemetry and an optional [`RunControl`]
+    /// (polled by the pipeline workers at every block-row and by the batch
+    /// engine between pairs) through which another thread can cancel the
+    /// job or park it in place and resume it. Scores are bit-identical to
+    /// solo runs of the same pairs, parked or not.
     pub fn execute(
         &self,
         platform: &Platform,
         base: &RunConfig,
         recovery: Option<RecoveryPolicy>,
         live: Option<Arc<LiveTelemetry>>,
-        cancel: Option<Arc<AtomicBool>>,
+        control: Option<Arc<RunControl>>,
     ) -> Result<JobReport, MegaswError> {
         match self {
             JobSpec::SinglePair {
@@ -181,8 +182,8 @@ impl JobSpec {
                 if let Some(live) = live {
                     run = run.live(live);
                 }
-                if let Some(token) = cancel {
-                    run = run.cancel(token);
+                if let Some(control) = control {
+                    run = run.control(control);
                 }
                 let t = Instant::now();
                 let report = run.run()?;
@@ -211,8 +212,8 @@ impl JobSpec {
                 if let Some(live) = live {
                     run = run.live(live);
                 }
-                if let Some(token) = cancel {
-                    run = run.cancel(token);
+                if let Some(control) = control {
+                    run = run.control(control);
                 }
                 let report = run.run()?;
                 Ok(JobReport::from(&report))
@@ -443,9 +444,8 @@ mod tests {
 
     #[test]
     fn pre_set_cancellation_token_stops_both_routes() {
-        use std::sync::atomic::Ordering;
-        let token = Arc::new(AtomicBool::new(false));
-        token.store(true, Ordering::Relaxed);
+        let control = Arc::new(RunControl::new());
+        control.cancel();
         let (a, b) = seqs(64, 64);
         let platform = Platform::env1();
         let base = RunConfig::test_default();
@@ -454,7 +454,7 @@ mod tests {
             JobSpec::batch(vec![BatchJob::new("c", a.clone(), b.clone())]),
         ] {
             let err = job
-                .execute(&platform, &base, None, None, Some(Arc::clone(&token)))
+                .execute(&platform, &base, None, None, Some(Arc::clone(&control)))
                 .unwrap_err();
             assert!(
                 matches!(

@@ -30,7 +30,9 @@
 //!   [`job::JobReport`]): single-pair and batch workloads behind one
 //!   submit/report surface;
 //! * [`service`] — the resident alignment service: a prioritized job
-//!   queue with an executor thread, cooperative cancellation, per-job
+//!   queue with an executor thread, in-place preemption (a running
+//!   lower-priority job is parked at a block-row while higher-priority
+//!   jobs run), cooperative cancellation, per-job
 //!   latency SLOs and an HTTP control surface mounted on `obs::http`;
 //! * [`balance`] — device-weight calibration for proportional splits;
 //! * [`baseline`] — the comparison points: single device, bulk-synchronous
@@ -72,7 +74,7 @@ pub use job::{JobKind, JobOutcome, JobReport, JobSpec};
 pub use partition::{
     make_slabs, make_slabs_excluding, make_slabs_excluding_with_weights, resplit_slabs, Slab,
 };
-pub use pipeline::{FaultPhase, FaultSchedule, PipelineRun, ScheduledFault, Semantics};
+pub use pipeline::{FaultPhase, FaultSchedule, PipelineRun, RunControl, ScheduledFault, Semantics};
 pub use service::{AlignService, JobState, JobStatus, ServiceConfig};
 pub use stages::multigpu_local_align;
 pub use stats::{
@@ -96,7 +98,7 @@ pub mod prelude {
     pub use crate::error::MegaswError;
     pub use crate::job::{JobKind, JobOutcome, JobReport, JobSpec};
     pub use crate::pipeline::{
-        FaultPhase, FaultPlan, FaultSchedule, PipelineRun, ScheduledFault, Semantics,
+        FaultPhase, FaultPlan, FaultSchedule, PipelineRun, RunControl, ScheduledFault, Semantics,
     };
     pub use crate::service::{AlignService, JobState, JobStatus, ServiceConfig};
     pub use crate::stats::{

@@ -88,8 +88,8 @@ use megasw_sw::kernel::{self, Kernel, KernelSelection};
 use megasw_sw::prune::{prune_bound, restore_corner, tile_is_prunable};
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI32, AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Matrix semantics a pipeline run computes under.
@@ -113,11 +113,114 @@ pub enum PipelineError {
     DeviceFault { device: usize, block_row: usize },
     /// A neighbour's failure surfaced through the ring.
     RingPoisoned { device: usize },
-    /// A worker observed the run's cancellation token (set via
-    /// [`PipelineRun::cancel`]) at the top of a block-row and stopped
+    /// A worker observed [`RunControl::cancel`] (attached via
+    /// [`PipelineRun::control`]) at the top of a block-row and stopped
     /// cooperatively. Not a fault: nothing is blacklisted, the platform
     /// stays reusable and the queue owner may resubmit.
     Cancelled,
+}
+
+/// Cooperative control of one running job: cancel it, or park it in place
+/// and later resume it exactly where it stopped.
+///
+/// Workers poll the control only where they already could stop: at the
+/// top of every block-row in the pipeline and between pairs in the batch
+/// engine. An idle control costs one relaxed load per poll. A parked
+/// worker blocks on a mutex and condvar (the flag is re-checked under the
+/// lock, so a resume is never lost); its ring neighbours block in their
+/// ring waits. Nothing spins and nothing is recomputed, so a parked and
+/// resumed run is bit-identical to an uninterrupted one. Parked time is in
+/// no measured phase, so it lands in `other` in the run's
+/// [`StallAttribution`](crate::stats::StallAttribution). Cancelling wakes
+/// parked workers, which then stop with [`PipelineError::Cancelled`].
+#[derive(Debug, Default)]
+pub struct RunControl {
+    /// [`CANCEL`] and [`PARK`] bits: the workers' fast path. They publish
+    /// no other data (the park state itself lives under `parked`), so
+    /// relaxed ordering suffices.
+    flags: AtomicU8,
+    /// Whether the run is parked; written only with `flags` updated under
+    /// the same lock.
+    parked: Mutex<bool>,
+    wake: Condvar,
+}
+
+const CANCEL: u8 = 1;
+const PARK: u8 = 2;
+
+impl RunControl {
+    pub fn new() -> RunControl {
+        RunControl::default()
+    }
+
+    /// Request cancellation; wakes a parked run. Irreversible.
+    pub fn cancel(&self) {
+        self.flags.fetch_or(CANCEL, Ordering::Relaxed);
+        // Taking the lock orders the flag before any parked worker's
+        // re-check, so the notification cannot be missed.
+        let _guard = self.parked.lock().expect("run control lock poisoned");
+        self.wake.notify_all();
+    }
+
+    /// Park the run: every worker blocks at its next poll point until
+    /// [`RunControl::resume`] or [`RunControl::cancel`]. Returns at once;
+    /// work already past its poll point finishes first.
+    pub fn park(&self) {
+        let mut parked = self.parked.lock().expect("run control lock poisoned");
+        *parked = true;
+        self.flags.fetch_or(PARK, Ordering::Relaxed);
+    }
+
+    /// Resume a parked run where it stopped.
+    pub fn resume(&self) {
+        let mut parked = self.parked.lock().expect("run control lock poisoned");
+        *parked = false;
+        self.flags.fetch_and(!PARK, Ordering::Relaxed);
+        self.wake.notify_all();
+    }
+
+    pub fn is_cancelled(&self) -> bool {
+        self.flags.load(Ordering::Relaxed) & CANCEL != 0
+    }
+
+    pub fn is_parked(&self) -> bool {
+        self.flags.load(Ordering::Relaxed) & PARK != 0
+    }
+
+    /// A poll point: `Ok` to go on (after waiting out a park), `Err` once
+    /// cancelled.
+    pub(crate) fn poll(&self) -> Result<(), PipelineError> {
+        if self.flags.load(Ordering::Relaxed) == 0 {
+            return Ok(());
+        }
+        self.poll_slow()
+    }
+
+    #[cold]
+    fn poll_slow(&self) -> Result<(), PipelineError> {
+        if !self.is_cancelled() {
+            let parked = self.parked.lock().expect("run control lock poisoned");
+            let _parked = self
+                .wake
+                .wait_while(parked, |parked| *parked && !self.is_cancelled())
+                .expect("run control lock poisoned");
+        }
+        if self.is_cancelled() {
+            Err(PipelineError::Cancelled)
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// A poll point for an optional control: no control costs one branch.
+pub(crate) fn poll(control: Option<&RunControl>) -> Result<(), PipelineError> {
+    control.map_or(Ok(()), RunControl::poll)
+}
+
+/// `true` once a control is present and cancelled.
+pub(crate) fn cancelled(control: Option<&RunControl>) -> bool {
+    control.is_some_and(RunControl::is_cancelled)
 }
 
 impl std::fmt::Display for PipelineError {
@@ -347,7 +450,7 @@ pub struct PipelineRun<'a> {
     live: Option<Arc<LiveTelemetry>>,
     flight: Option<Arc<FlightRecorder>>,
     flight_dump: Option<PathBuf>,
-    cancel: Option<Arc<AtomicBool>>,
+    control: Option<Arc<RunControl>>,
 }
 
 impl<'a> PipelineRun<'a> {
@@ -367,7 +470,7 @@ impl<'a> PipelineRun<'a> {
             live: None,
             flight: None,
             flight_dump: None,
-            cancel: None,
+            control: None,
         }
     }
 
@@ -438,14 +541,18 @@ impl<'a> PipelineRun<'a> {
         self
     }
 
-    /// Attach a cooperative cancellation token. Every worker polls it at
-    /// the top of every block-row (one relaxed load); the first worker to
-    /// observe `true` stops before that row, poisons its rings like a
+    /// Attach a [`RunControl`] to cancel or park the run from another
+    /// thread. Every worker polls it at the top of every block-row (one
+    /// relaxed load while idle). On [`RunControl::park`] each worker
+    /// blocks before its next row until [`RunControl::resume`], and the
+    /// run then continues where it stopped, bit-identically. On
+    /// [`RunControl::cancel`] the first worker to observe it stops before
+    /// that row (waking from a park if parked), poisons its rings like a
     /// faulted worker so its neighbours stop too, and the run returns
-    /// [`PipelineError::Cancelled`]. A token that is never set costs
-    /// nothing else: the run takes the same driver as a run without one.
-    pub fn cancel(mut self, token: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(token);
+    /// [`PipelineError::Cancelled`]. A control never changes the driver:
+    /// the run takes the same route as a run without one.
+    pub fn control(mut self, control: Arc<RunControl>) -> Self {
+        self.control = Some(control);
         self
     }
 
@@ -464,7 +571,7 @@ impl<'a> PipelineRun<'a> {
                 &self.observer,
                 self.live.as_ref(),
                 self.flight.as_ref(),
-                self.cancel.as_deref(),
+                self.control.as_deref(),
             )
             .map_err(MegaswError::from),
             Some(policy) => run_pipeline_segmented(
@@ -478,7 +585,7 @@ impl<'a> PipelineRun<'a> {
                 &self.observer,
                 self.live.as_ref(),
                 self.flight.as_ref(),
-                self.cancel.as_deref(),
+                self.control.as_deref(),
             )
             .map_err(MegaswError::from),
         };
@@ -552,7 +659,7 @@ pub(crate) fn run_pipeline_live(
     obs: &Recorder,
     live: Option<&Arc<LiveTelemetry>>,
     flight: Option<&Arc<FlightRecorder>>,
-    cancel: Option<&AtomicBool>,
+    control: Option<&RunControl>,
 ) -> Result<RunReport, PipelineError> {
     config.validate().map_err(PipelineError::InvalidConfig)?;
     // Rebalance-enabled runs execute in checkpoint-bounded segments; the
@@ -561,10 +668,10 @@ pub(crate) fn run_pipeline_live(
     // and the stage-1/stage-2 drivers in `stages` — on one code path.
     if config.policy.rebalance.is_enabled() {
         return run_pipeline_segmented(
-            a, b, platform, config, faults, None, semantics, obs, live, flight, cancel,
+            a, b, platform, config, faults, None, semantics, obs, live, flight, control,
         );
     }
-    if cancelled(cancel) {
+    if cancelled(control) {
         return Err(PipelineError::Cancelled);
     }
     let kernel = kernel::select(config.policy.dispatch).map_err(PipelineError::InvalidConfig)?;
@@ -603,7 +710,7 @@ pub(crate) fn run_pipeline_live(
         flight,
         resume: None,
         ckpt: None,
-        cancel,
+        control,
     });
     let wall_ns = obs.now_ns().saturating_sub(run_start_ns);
     let partials = collect_attempt(outcome.results).map_err(|f| f.error)?;
@@ -679,7 +786,7 @@ pub(crate) fn run_pipeline_segmented(
     obs: &Recorder,
     live: Option<&Arc<LiveTelemetry>>,
     flight: Option<&Arc<FlightRecorder>>,
-    cancel: Option<&AtomicBool>,
+    control: Option<&RunControl>,
 ) -> Result<RunReport, PipelineError> {
     config.validate().map_err(PipelineError::InvalidConfig)?;
     let kernel = kernel::select(config.policy.dispatch).map_err(PipelineError::InvalidConfig)?;
@@ -746,9 +853,9 @@ pub(crate) fn run_pipeline_segmented(
     let run_start_ns = obs.now_ns();
 
     loop {
-        // Workers poll the token at every block-row; checking here too
+        // Workers poll the control at every block-row; checking here too
         // skips spawning an attempt that would stop at its first row.
-        if cancelled(cancel) {
+        if cancelled(control) {
             return Err(PipelineError::Cancelled);
         }
         // Smallest segment boundary strictly past `start_row` (a resumed
@@ -778,7 +885,7 @@ pub(crate) fn run_pipeline_segmented(
                 attempt,
                 interval,
             }),
-            cancel,
+            control,
         });
         match collect_attempt(outcome.results) {
             Ok(mut partials) => {
@@ -943,11 +1050,6 @@ pub(crate) fn run_pipeline_segmented(
     }
 }
 
-/// `true` once a cancellation token is present and set.
-fn cancelled(cancel: Option<&AtomicBool>) -> bool {
-    cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-}
-
 /// Everything one attempt needs; bundled so the recovery driver and the
 /// fail-fast path share the exact same execution code.
 struct AttemptParams<'e> {
@@ -972,8 +1074,8 @@ struct AttemptParams<'e> {
     resume: Option<&'e Checkpoint>,
     /// Where workers deposit checkpoints, when recovery is enabled.
     ckpt: Option<CkptCtx<'e>>,
-    /// Cooperative cancellation token, polled by every worker per row.
-    cancel: Option<&'e AtomicBool>,
+    /// Cancel/park control, polled by every worker per row.
+    control: Option<&'e RunControl>,
 }
 
 #[derive(Clone, Copy)]
@@ -1059,7 +1161,7 @@ fn run_attempt(p: AttemptParams<'_>) -> AttemptOutcome {
                     flight: p.flight,
                     resume: p.resume,
                     ckpt: p.ckpt,
-                    cancel: p.cancel,
+                    control: p.control,
                     global_watermark,
                 });
                 if result.is_err() {
@@ -1264,16 +1366,17 @@ struct WorkerParams<'e> {
     flight: Option<&'e Arc<FlightRecorder>>,
     resume: Option<&'e Checkpoint>,
     ckpt: Option<CkptCtx<'e>>,
-    cancel: Option<&'e AtomicBool>,
+    control: Option<&'e RunControl>,
     /// Shared watermark for non-adjacent devices (distributed pruning).
     global_watermark: &'e AtomicI32,
 }
 
 /// The per-device loop.
 ///
-/// Each block-row starts with a poll of the cancellation token; a set
-/// token ends the worker with [`PipelineError::Cancelled`] before the row,
-/// and the attempt poisons its rings exactly as for a fault. Then the
+/// Each block-row starts with a poll of the [`RunControl`]: a park blocks
+/// the worker there until resumed, a cancel ends it with
+/// [`PipelineError::Cancelled`] before the row, and the attempt poisons
+/// its rings exactly as for a fault. Then the
 /// phases run in dataflow order — `RingPop` fault check,
 /// pop, `Compute` fault check, kernels, checkpoint deposit, `RingPush`
 /// fault check, push, `Transfer` fault check — so a scheduled fault kills
@@ -1298,7 +1401,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         flight,
         resume,
         ckpt,
-        cancel,
+        control,
         global_watermark,
     } = p;
     let m = a.len();
@@ -1417,11 +1520,8 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         let i1 = ((r + 1) * block_h).min(m) + 1;
         let height = i1 - i0;
         let row = r as u32;
-        if cancelled(cancel) {
-            return Err(WorkerFailure {
-                error: PipelineError::Cancelled,
-                cells,
-            });
+        if let Err(error) = poll(control) {
+            return Err(WorkerFailure { error, cells });
         }
         fly(FlightKind::RowStart, r as u64, obs.now_ns(), 0, 0);
 
@@ -2554,39 +2654,59 @@ mod tests {
         }
     }
 
-    /// Run with a token that a watcher thread sets once the live telemetry
-    /// shows an eighth of the matrix done.
-    fn run_cancelled_mid_run(
+    /// Block until the live cell count holds still for 10 ms: every worker
+    /// has reached its poll point (or a ring wait behind a parked
+    /// neighbour). Returns the settled count.
+    fn settled_cells(live: &LiveTelemetry) -> u64 {
+        let mut last = live.snapshot().cells_done();
+        loop {
+            std::thread::sleep(Duration::from_millis(10));
+            let now = live.snapshot().cells_done();
+            if now == last {
+                return now;
+            }
+            last = now;
+        }
+    }
+
+    /// Run with a [`RunControl`] that a watcher thread drives once the live
+    /// telemetry shows `trigger` of the matrix done: `watch` gets the
+    /// control and the telemetry and returns whether it acted before the
+    /// run finished.
+    fn run_with_watcher(
         a: &[u8],
         b: &[u8],
         platform: &Platform,
         cfg: &RunConfig,
         recovery: Option<RecoveryPolicy>,
-    ) -> Result<RunReport, MegaswError> {
+        trigger: u64,
+        watch: impl FnOnce(&RunControl, &LiveTelemetry) + Send,
+    ) -> (Result<RunReport, MegaswError>, bool) {
         let total = (a.len() * b.len()) as u64;
         let live = LiveTelemetry::new(platform.len(), total);
-        let token = Arc::new(AtomicBool::new(false));
-        let finished = AtomicBool::new(false);
+        let control = Arc::new(RunControl::new());
+        let finished = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
-            s.spawn(|| {
-                while !finished.load(Ordering::Relaxed) {
-                    if live.snapshot().cells_done() >= total / 8 {
-                        token.store(true, Ordering::Relaxed);
-                        return;
+            let watcher = s.spawn(|| {
+                while !finished.load(Ordering::SeqCst) {
+                    if live.snapshot().cells_done() >= total / trigger {
+                        watch(&control, &live);
+                        return true;
                     }
                     std::thread::sleep(Duration::from_micros(50));
                 }
+                false
             });
             let mut run = PipelineRun::new(a, b, platform)
                 .config(cfg.clone())
                 .live(Arc::clone(&live))
-                .cancel(Arc::clone(&token));
+                .control(Arc::clone(&control));
             if let Some(policy) = recovery {
                 run = run.recover(policy);
             }
             let result = run.run();
-            finished.store(true, Ordering::Relaxed);
-            result
+            finished.store(true, Ordering::SeqCst);
+            (result, watcher.join().expect("watcher panicked"))
         })
     }
 
@@ -2604,10 +2724,27 @@ mod tests {
         for platform in &platforms {
             let clean = run_local(a, b, platform, cfg.clone());
             for recovery in [None, Some(RecoveryPolicy::default())] {
-                let label = format!("{} devices, recovery {recovery:?}", platform.len());
-                match run_cancelled_mid_run(a, b, platform, &cfg, recovery) {
-                    Err(MegaswError::Pipeline(PipelineError::Cancelled)) => {}
-                    other => panic!("{label}: expected Cancelled, got {other:?}"),
+                // Cancel a running run, and cancel a parked one: a parked
+                // worker must wake and report Cancelled, never the
+                // neighbours' RingPoisoned.
+                for park_first in [false, true] {
+                    let label = format!(
+                        "{} devices, recovery {recovery:?}, parked {park_first}",
+                        platform.len()
+                    );
+                    let (result, acted) =
+                        run_with_watcher(a, b, platform, &cfg, recovery, 8, |ctl, live| {
+                            if park_first {
+                                ctl.park();
+                                settled_cells(live);
+                            }
+                            ctl.cancel();
+                        });
+                    assert!(acted, "{label}: run finished before the watcher acted");
+                    match result {
+                        Err(MegaswError::Pipeline(PipelineError::Cancelled)) => {}
+                        other => panic!("{label}: expected Cancelled, got {other:?}"),
+                    }
                 }
                 let mut rerun = PipelineRun::new(a, b, platform).config(cfg.clone());
                 if let Some(policy) = recovery {
@@ -2620,26 +2757,146 @@ mod tests {
     }
 
     #[test]
+    fn parked_run_freezes_then_resumes_bit_identically_on_every_route() {
+        use crate::config::RebalanceMode;
+        let (a, _) = pair(16_000, 64);
+        let (b, _) = pair(2_000, 65);
+        let (a, b) = (a.codes(), b.codes());
+        let base = RunConfig::test_default()
+            .with_block(128)
+            .with_checkpoint(CheckpointCadence::EveryRows(4));
+        let rebalanced = base.clone().with_rebalance(RebalanceMode::On {
+            threshold: 0.0,
+            window_waves: 2,
+        });
+        let routes = [
+            ("plain", base.clone(), None),
+            ("recovery", base.clone(), Some(RecoveryPolicy::default())),
+            ("rebalance", rebalanced, None),
+        ];
+        let platforms = [
+            Platform::single(catalog::gtx680()),
+            Platform::env1(),
+            Platform::env2(),
+        ];
+        for platform in &platforms {
+            for (route, cfg, recovery) in &routes {
+                let label = format!("{} devices, {route}", platform.len());
+                let mut clean = PipelineRun::new(a, b, platform).config(cfg.clone());
+                if let Some(policy) = recovery {
+                    clean = clean.recover(*policy);
+                }
+                let clean = clean.run().unwrap();
+                let (result, acted) =
+                    run_with_watcher(a, b, platform, cfg, *recovery, 4, |ctl, live| {
+                        ctl.park();
+                        let frozen = settled_cells(live);
+                        std::thread::sleep(Duration::from_millis(50));
+                        assert_eq!(
+                            live.snapshot().cells_done(),
+                            frozen,
+                            "{label}: cells advanced while parked"
+                        );
+                        assert!(ctl.is_parked());
+                        ctl.resume();
+                    });
+                assert!(acted, "{label}: run finished before the park");
+                let parked = result.unwrap_or_else(|e| panic!("{label}: {e}"));
+                if parked.rebalance.is_some() {
+                    // Migrations follow measured rates, so the slab
+                    // geometry is timing-dependent; the result is not.
+                    assert_eq!(parked.best, clean.best, "{label}");
+                    assert_eq!(parked.total_cells, clean.total_cells, "{label}");
+                } else {
+                    assert_same_result(&parked, &clean);
+                }
+                assert_eq!(parked.rebalance.is_some(), clean.rebalance.is_some());
+                assert_eq!(parked.recovery.is_some(), clean.recovery.is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn park_resume_storm_never_loses_a_wakeup() {
+        // Tiny forced-scalar tiles over three devices: many poll points
+        // per millisecond, so park and resume race the workers' fast-path
+        // loads and lock acquisitions. After every resume each worker must
+        // finish another row: a lost wake-up stalls it, and the deadline
+        // turns the stall into a failure instead of a hang.
+        let (a, _) = pair(80_000, 66);
+        let (b, _) = pair(900, 67);
+        let (a, b) = (a.codes().to_vec(), b.codes().to_vec());
+        let cfg =
+            RunConfig::test_default().with_dispatch(megasw_sw::kernel::KernelDispatch::ForceScalar);
+        let clean = run_local(&a, &b, &Platform::env2(), cfg.clone());
+        let control = Arc::new(RunControl::new());
+        let live = LiveTelemetry::new(3, (a.len() * b.len()) as u64);
+        let run = {
+            let (control, live) = (Arc::clone(&control), Arc::clone(&live));
+            std::thread::spawn(move || {
+                PipelineRun::new(&a, &b, &Platform::env2())
+                    .config(cfg)
+                    .live(live)
+                    .control(control)
+                    .run()
+            })
+        };
+        let rows = || -> Vec<u64> {
+            live.snapshot()
+                .devices
+                .iter()
+                .map(|d| d.rows_done)
+                .collect()
+        };
+        let mut rng = 0x9E37_79B9_u32;
+        for cycle in 0..500 {
+            assert!(
+                !run.is_finished(),
+                "the run must outlast all 500 park/resume cycles (ended at {cycle})"
+            );
+            control.park();
+            rng ^= rng << 13;
+            rng ^= rng >> 17;
+            rng ^= rng << 5;
+            for _ in 0..rng % 512 {
+                std::hint::spin_loop();
+            }
+            let before = rows();
+            control.resume();
+            let deadline = std::time::Instant::now() + Duration::from_secs(20);
+            while rows().iter().zip(&before).any(|(now, then)| now <= then) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "cycle {cycle}: a worker never woke from its park (lost wake-up)"
+                );
+                std::thread::yield_now();
+            }
+        }
+        let report = run.join().expect("run panicked").unwrap();
+        assert_same_result(&report, &clean);
+    }
+
+    #[test]
     fn never_set_token_runs_the_plain_driver() {
         let (a, b) = pair(3_000, 62);
         let platform = Platform::env2();
         let plain = run_local(a.codes(), b.codes(), &platform, RunConfig::test_default());
         let flight = FlightRecorder::new(platform.len(), 4096);
-        let tokened = PipelineRun::new(a.codes(), b.codes(), &platform)
+        let controlled = PipelineRun::new(a.codes(), b.codes(), &platform)
             .config(RunConfig::test_default())
             .flight(Arc::clone(&flight))
-            .cancel(Arc::new(AtomicBool::new(false)))
+            .control(Arc::new(RunControl::new()))
             .run()
             .unwrap();
-        assert_same_result(&tokened, &plain);
-        assert!(tokened.recovery.is_none() && tokened.rebalance.is_none());
+        assert_same_result(&controlled, &plain);
+        assert!(controlled.recovery.is_none() && controlled.rebalance.is_none());
         let events: Vec<_> = (0..platform.len())
             .flat_map(|lane| flight.events(lane))
             .collect();
         assert!(events.iter().any(|e| e.kind == FlightKind::Compute));
         assert!(
             events.iter().all(|e| e.kind != FlightKind::Checkpoint),
-            "a token must not route the run through checkpointed segments"
+            "a control must not route the run through checkpointed segments"
         );
     }
 

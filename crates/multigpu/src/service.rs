@@ -10,20 +10,35 @@
 //!
 //! Architecture (DESIGN.md §15):
 //!
-//! * [`AlignService::start`] spawns **one executor thread** that owns the
-//!   platform. Jobs execute strictly one at a time — the platform is one
-//!   set of devices; running two slab pipelines at once would just
+//! * [`AlignService`] owns the platform. Its executor is a set of
+//!   scheduling rules applied under the state lock by whichever thread
+//!   changed the state — a submitter, or a job's runner as the job ends —
+//!   so starting a job wakes no other thread. Each job runs on a runner
+//!   thread of its own. One job is *active* at a time — the platform is
+//!   one set of devices; running two slab pipelines at once would just
 //!   timeslice them — popped in priority order (higher first), FIFO
 //!   within a priority.
+//! * **Preemption parks in place.** When a queued job's priority is
+//!   strictly higher than the active job's, the executor parks the active
+//!   job through its [`RunControl`] and starts the queued one at once,
+//!   without waiting: the parked job's workers stop at their next poll
+//!   point (a block-row, or a pair in a batch), so the two overlap for at
+//!   most one block-row. When the active job ends, the most recently
+//!   parked job resumes exactly where it stopped — unless a queued job
+//!   outranks it; on a tie the parked job goes first. Nothing is
+//!   checkpointed, rewound or requeued, so a parked job's scores stay
+//!   bit-identical. At most [`MAX_PARKED`] jobs are parked; beyond that,
+//!   new jobs wait in the queue. A parked job stays `running` on every
+//!   surface, and its wall time includes the time it was parked.
 //! * Submission ([`AlignService::submit`]) assigns a monotonically
-//!   increasing id, parks the spec in the queue, and returns immediately.
+//!   increasing id, places the spec in the queue, and returns immediately.
 //!   Each job gets its own [`LiveTelemetry`] handle at submit time, so
 //!   progress is streamable from the moment it starts running.
 //! * **Cancellation** is cooperative: [`AlignService::cancel`] removes a
-//!   still-queued job outright; a running job has its token set, which
-//!   the pipeline workers poll at every block-row and the batch engine
-//!   between pairs — see [`PipelineError::Cancelled`]. Terminal jobs are
-//!   untouched.
+//!   still-queued job outright; a running job — active or parked — is
+//!   cancelled through its [`RunControl`], which the pipeline workers poll
+//!   at every block-row and the batch engine between pairs — see
+//!   [`PipelineError::Cancelled`]. Terminal jobs are untouched.
 //! * **Device loss is scoped to the job.** Blacklists live inside
 //!   [`PipelineRun`](crate::pipeline::PipelineRun) /
 //!   [`BatchRun`](crate::batch::BatchRun), so a loss during job N
@@ -32,9 +47,11 @@
 //!   device is still dead. No queued job is dropped or reordered.
 //! * **SLOs**: the service republishes a `service.*` metrics registry to
 //!   its [`MetricsHub`] on every transition and every publisher tick —
-//!   job counters, queue depth/peak gauges, and per-job p50/p90/p99
-//!   latency (submission → completion, in ms, as explicit counters
-//!   because the Prometheus exposition carries no quantile lines).
+//!   job counters, preemptions, queue depth/peak gauges, and per-job
+//!   p50/p90/p99 latency (submission → completion, in ms, as explicit
+//!   counters because the Prometheus exposition carries no quantile
+//!   lines). Each latency is recorded once, at completion, so publishing
+//!   costs the same whatever the number of completed jobs.
 //! * [`AlignService::handler`] mounts the HTTP surface onto
 //!   [`MetricsServer::bind_routed`](megasw_obs::MetricsServer):
 //!   `POST /jobs`, `GET /jobs`, `GET /jobs/:id`, `GET /jobs/:id/events`
@@ -44,22 +61,31 @@
 use crate::batch::{percentile, BatchConfig, BatchFault, BatchJob};
 use crate::checkpoint::RecoveryPolicy;
 use crate::config::{CheckpointCadence, PartitionPolicy, PruneMode, RebalanceMode, RunConfig};
+use crate::error::MegaswError;
 use crate::job::{JobKind, JobReport, JobSpec};
-use crate::pipeline::{FaultSchedule, PipelineError};
+use crate::pipeline::{FaultSchedule, PipelineError, RunControl};
 use megasw_gpusim::Platform;
 use megasw_obs::json::{self, escape, Value};
-use megasw_obs::{LiveTelemetry, MetricsHub, MetricsRegistry, Request, Response};
+use megasw_obs::{Histogram, LiveTelemetry, MetricsHub, MetricsRegistry, Request, Response};
 use megasw_seq::fasta::read_single_fasta_str;
 use megasw_seq::DnaSeq;
 use megasw_sw::kernel::KernelDispatch;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Most jobs parked at once. Every parked job holds its runner thread and
+/// its pipeline's worker threads, and any `i64` is a valid priority, so
+/// without a cap a client could make the service hold threads without
+/// bound. A job that would park a further one waits in the queue.
+pub const MAX_PARKED: usize = 4;
 
 /// Lifecycle of one job. The only transitions are
 /// `Queued → Running → {Done, Failed, Cancelled}` and
-/// `Queued → Cancelled` (cancelled before execution started).
+/// `Queued → Cancelled` (cancelled before execution started). A job
+/// parked by a higher-priority one stays `Running`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     Queued,
@@ -145,6 +171,8 @@ pub struct JobStatus {
     /// Submission → completion, present once terminal (except jobs
     /// cancelled while still queued, which never ran).
     pub latency: Option<Duration>,
+    /// Times a higher-priority job parked this one.
+    pub preemptions: u64,
 }
 
 struct JobEntry {
@@ -155,12 +183,13 @@ struct JobEntry {
     state: JobState,
     /// Taken by the executor when the job starts running.
     spec: Option<JobSpec>,
-    cancel: Arc<AtomicBool>,
+    control: Arc<RunControl>,
     live: Arc<LiveTelemetry>,
     report: Option<JobReport>,
     error: Option<String>,
     submitted: Instant,
     latency: Option<Duration>,
+    preemptions: u64,
 }
 
 impl JobEntry {
@@ -174,33 +203,199 @@ impl JobEntry {
             report: self.report.clone(),
             error: self.error.clone(),
             latency: self.latency,
+            preemptions: self.preemptions,
         }
     }
 }
 
-#[derive(Default)]
+#[derive(Default, Clone, Copy)]
 struct Counters {
     submitted: u64,
     completed: u64,
     failed: u64,
     cancelled: u64,
     recoveries: u64,
+    preemptions: u64,
+}
+
+/// Latencies of `Done` jobs, kept incrementally: each is recorded once, at
+/// completion, so a publish costs the same at any number of jobs.
+#[derive(Default)]
+struct LatencySlo {
+    /// Ascending, for the exact nearest-rank percentiles.
+    sorted: Vec<Duration>,
+    /// `service.job_latency_ms`, in ms.
+    histogram: Histogram,
+}
+
+impl LatencySlo {
+    fn record(&mut self, latency: Duration) {
+        let at = self.sorted.partition_point(|&l| l <= latency);
+        self.sorted.insert(at, latency);
+        self.histogram.record(latency.as_secs_f64() * 1e3);
+    }
+
+    fn percentile_ms(&self, p: f64) -> u64 {
+        percentile(&self.sorted, p).as_millis() as u64
+    }
+}
+
+/// A job the executor hands to a new runner thread.
+struct Start {
+    id: u64,
+    spec: JobSpec,
+    control: Arc<RunControl>,
+    live: Arc<LiveTelemetry>,
 }
 
 struct State {
     next_id: u64,
     /// Job ids in execution order: higher priority first, FIFO within a
-    /// priority (maintained at insert).
+    /// priority (maintained at insert). Holds only `Queued` jobs.
     queue: VecDeque<u64>,
     jobs: BTreeMap<u64, JobEntry>,
-    running: Option<u64>,
+    /// The job that holds the devices.
+    active: Option<u64>,
+    /// Jobs parked in place by a higher-priority job, most recently
+    /// parked last; never longer than [`MAX_PARKED`].
+    parked: Vec<u64>,
     queue_peak: u64,
     counters: Counters,
-    /// Latencies of `Done` jobs, for the stream-level SLO percentiles.
-    latencies: Vec<Duration>,
+    slo: LatencySlo,
     /// Ids in the order their execution finished (chaos tests assert
     /// device loss never reorders the stream).
     completed_order: Vec<u64>,
+    /// Runner threads not yet joined.
+    runners: Vec<JoinHandle<()>>,
+}
+
+impl State {
+    fn new() -> State {
+        State {
+            next_id: 1,
+            queue: VecDeque::new(),
+            jobs: BTreeMap::new(),
+            active: None,
+            parked: Vec::new(),
+            queue_peak: 0,
+            counters: Counters::default(),
+            slo: LatencySlo::default(),
+            completed_order: Vec::new(),
+            runners: Vec::new(),
+        }
+    }
+
+    fn enqueue(&mut self, spec: JobSpec, priority: i64, live: Arc<LiveTelemetry>) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        let entry = JobEntry {
+            id,
+            name: spec.name(),
+            kind: spec.kind(),
+            priority,
+            state: JobState::Queued,
+            spec: Some(spec),
+            control: Arc::new(RunControl::new()),
+            live,
+            report: None,
+            error: None,
+            submitted: Instant::now(),
+            latency: None,
+            preemptions: 0,
+        };
+        // Insert before the first queued job with a strictly lower
+        // priority: higher priority first, FIFO within a priority.
+        let pos = self
+            .queue
+            .iter()
+            .position(|qid| self.jobs[qid].priority < priority)
+            .unwrap_or(self.queue.len());
+        self.queue.insert(pos, id);
+        self.jobs.insert(id, entry);
+        self.counters.submitted += 1;
+        self.queue_peak = self.queue_peak.max(self.queue.len() as u64);
+        id
+    }
+
+    /// Apply the scheduling rules after the queue, the active job or the
+    /// parked stack changed. Parks the active job when the queue's head
+    /// strictly outranks it and the stack has room; resumes the top parked
+    /// job when nothing is active and no queued job outranks it. Returns
+    /// the queued job to start on a new runner, if any.
+    fn schedule(&mut self) -> Option<Start> {
+        let head = self.queue.front().map(|id| self.jobs[id].priority);
+        let outranked = |id: u64| head.is_some_and(|p| p > self.jobs[&id].priority);
+        if let Some(active) = self.active {
+            if !outranked(active) || self.parked.len() >= MAX_PARKED {
+                return None;
+            }
+            // No wait for the workers to acknowledge: they stop at their
+            // next poll point, at most one block-row from now.
+            let job = self.jobs.get_mut(&active).expect("active job exists");
+            job.control.park();
+            job.preemptions += 1;
+            self.counters.preemptions += 1;
+            self.parked.push(active);
+            self.active = None;
+        } else if let Some(&top) = self.parked.last() {
+            if !outranked(top) {
+                self.parked.pop();
+                self.jobs[&top].control.resume();
+                self.active = Some(top);
+                return None;
+            }
+        }
+        let id = self.queue.pop_front()?;
+        let job = self.jobs.get_mut(&id).expect("queued job exists");
+        debug_assert_eq!(job.state, JobState::Queued, "the queue holds queued jobs");
+        job.state = JobState::Running;
+        self.active = Some(id);
+        Some(Start {
+            id,
+            spec: job.spec.take().expect("queued job carries its spec"),
+            control: Arc::clone(&job.control),
+            live: Arc::clone(&job.live),
+        })
+    }
+
+    /// Record job `id`'s result, once, and take it off the devices: out of
+    /// the active slot, or off the parked stack when it finished while
+    /// being parked (its last poll point was already behind it).
+    fn finish(&mut self, id: u64, result: Result<JobReport, MegaswError>) {
+        let job = self.jobs.get_mut(&id).expect("running job exists");
+        debug_assert_eq!(job.state, JobState::Running, "job {id} finished twice");
+        let latency = job.submitted.elapsed();
+        job.latency = Some(latency);
+        match result {
+            Ok(report) => {
+                self.counters.completed += 1;
+                self.counters.recoveries += report.recoveries;
+                self.slo.record(latency);
+                job.state = JobState::Done;
+                job.report = Some(report);
+            }
+            Err(e) if matches!(e.as_pipeline(), Some(PipelineError::Cancelled)) => {
+                self.counters.cancelled += 1;
+                job.state = JobState::Cancelled;
+            }
+            Err(e) => {
+                self.counters.failed += 1;
+                job.state = JobState::Failed;
+                job.error = Some(e.to_string());
+            }
+        }
+        self.completed_order.push(id);
+        if self.active == Some(id) {
+            self.active = None;
+        } else {
+            self.parked.retain(|&p| p != id);
+        }
+    }
+
+    /// Jobs on the devices: the active one plus the parked ones.
+    fn running(&self) -> usize {
+        usize::from(self.active.is_some()) + self.parked.len()
+    }
 }
 
 struct Inner {
@@ -208,16 +403,19 @@ struct Inner {
     cfg: ServiceConfig,
     hub: Arc<MetricsHub>,
     state: Mutex<State>,
-    cv: Condvar,
+    /// Wakes [`AlignService::wait`]ers: a job reached a terminal state.
+    finished: Condvar,
     stop: AtomicBool,
+    /// Serialises [`Inner::publish`] without holding the state lock.
+    publishing: Mutex<()>,
 }
 
 /// The resident engine. Dropping it (or calling
-/// [`AlignService::shutdown`]) stops the executor: the running job is
-/// cancelled cooperatively and queued jobs stay unexecuted.
+/// [`AlignService::shutdown`]) stops the executor: the active job and
+/// every parked job are cancelled cooperatively and queued jobs stay
+/// unexecuted.
 pub struct AlignService {
     inner: Arc<Inner>,
-    exec: Option<std::thread::JoinHandle<()>>,
     publisher: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -229,27 +427,12 @@ impl AlignService {
             platform,
             cfg,
             hub,
-            state: Mutex::new(State {
-                next_id: 1,
-                queue: VecDeque::new(),
-                jobs: BTreeMap::new(),
-                running: None,
-                queue_peak: 0,
-                counters: Counters::default(),
-                latencies: Vec::new(),
-                completed_order: Vec::new(),
-            }),
-            cv: Condvar::new(),
+            state: Mutex::new(State::new()),
+            finished: Condvar::new(),
             stop: AtomicBool::new(false),
+            publishing: Mutex::new(()),
         });
         inner.publish();
-        let exec = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("megasw-service-exec".into())
-                .spawn(move || executor(inner))
-                .expect("spawn service executor")
-        };
         let publisher = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -264,7 +447,6 @@ impl AlignService {
         };
         AlignService {
             inner,
-            exec: Some(exec),
             publisher: Some(publisher),
         }
     }
@@ -284,28 +466,20 @@ impl AlignService {
     /// priorities.
     pub fn submit_with_priority(&self, spec: JobSpec, priority: i64) -> u64 {
         let id = self.inner.enqueue(spec, priority);
-        self.inner.cv.notify_all();
+        self.inner.dispatch(&mut self.inner.lock());
         self.inner.publish();
         id
     }
 
     /// Snapshot of one job, `None` for unknown ids.
     pub fn status(&self, id: u64) -> Option<JobStatus> {
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .jobs
-            .get(&id)
-            .map(JobEntry::status)
+        self.inner.lock().jobs.get(&id).map(JobEntry::status)
     }
 
     /// Snapshot of every job the service has seen, by ascending id.
     pub fn jobs(&self) -> Vec<JobStatus> {
         self.inner
-            .state
             .lock()
-            .unwrap()
             .jobs
             .values()
             .map(JobEntry::status)
@@ -315,7 +489,8 @@ impl AlignService {
     /// Cooperatively cancel a job; returns its state after the request
     /// (`Cancelled` immediately for queued jobs, `Running` for a job that
     /// will stop at its next block-row — or next pair, for a batch's small
-    /// pairs — unchanged for terminal jobs), `None` for unknown ids.
+    /// pairs; a parked job wakes to stop — unchanged for terminal jobs),
+    /// `None` for unknown ids.
     pub fn cancel(&self, id: u64) -> Option<JobState> {
         let state = self.inner.cancel(id);
         self.inner.publish();
@@ -324,28 +499,35 @@ impl AlignService {
 
     /// Jobs whose execution has finished, in completion order.
     pub fn completed_order(&self) -> Vec<u64> {
-        self.inner.state.lock().unwrap().completed_order.clone()
+        self.inner.lock().completed_order.clone()
     }
 
     /// Jobs currently waiting to run.
     pub fn queue_depth(&self) -> usize {
-        self.inner.state.lock().unwrap().queue.len()
+        self.inner.lock().queue.len()
     }
 
-    /// Block until job `id` reaches a terminal state (polling) or
-    /// `timeout` elapses; returns the final status, `None` on timeout or
-    /// unknown id.
+    /// Block until job `id` reaches a terminal state or `timeout` elapses;
+    /// returns the final status, `None` on timeout or unknown id. Wakes on
+    /// the job's terminal transition, not by polling.
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobStatus> {
         let deadline = Instant::now() + timeout;
+        let mut st = self.inner.lock();
         loop {
-            let status = self.status(id)?;
-            if status.state.is_terminal() {
-                return Some(status);
+            let job = st.jobs.get(&id)?;
+            if job.state.is_terminal() {
+                return Some(job.status());
             }
-            if Instant::now() >= deadline {
+            let left = deadline.checked_duration_since(Instant::now())?;
+            if left.is_zero() {
                 return None;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            st = self
+                .inner
+                .finished
+                .wait_timeout(st, left)
+                .expect("service state lock poisoned")
+                .0;
         }
     }
 
@@ -358,20 +540,21 @@ impl AlignService {
         Arc::new(move |req: &Request| route(&inner, req))
     }
 
-    /// Stop the executor: the running job (if any) is cancelled
-    /// cooperatively, queued jobs stay `Queued` forever. Idempotent.
+    /// Stop the executor: the active job and every parked job are
+    /// cancelled cooperatively and their runners joined, queued jobs stay
+    /// `Queued` forever. Idempotent.
     pub fn shutdown(&mut self) {
-        self.inner.stop.store(true, Ordering::Relaxed);
-        {
-            let st = self.inner.state.lock().unwrap();
-            if let Some(id) = st.running {
-                if let Some(job) = st.jobs.get(&id) {
-                    job.cancel.store(true, Ordering::Relaxed);
-                }
+        let runners = {
+            // Set under the lock, where `dispatch` reads it: no job
+            // starts or resumes after this.
+            let mut st = self.inner.lock();
+            self.inner.stop.store(true, Ordering::Relaxed);
+            for id in st.active.iter().chain(&st.parked) {
+                st.jobs[id].control.cancel();
             }
-        }
-        self.inner.cv.notify_all();
-        if let Some(h) = self.exec.take() {
+            std::mem::take(&mut st.runners)
+        };
+        for h in runners {
             let _ = h.join();
         }
         if let Some(h) = self.publisher.take() {
@@ -386,135 +569,130 @@ impl Drop for AlignService {
     }
 }
 
-fn executor(inner: Arc<Inner>) {
-    loop {
-        let (id, spec, cancel, live) = {
-            let mut st = inner.state.lock().unwrap();
-            'pick: loop {
-                if inner.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                while let Some(id) = st.queue.pop_front() {
-                    let job = st.jobs.get_mut(&id).expect("queued job exists");
-                    if job.state != JobState::Queued {
-                        continue; // cancelled while queued
-                    }
-                    job.state = JobState::Running;
-                    let spec = job.spec.take().expect("queued job carries its spec");
-                    let cancel = Arc::clone(&job.cancel);
-                    let live = Arc::clone(&job.live);
-                    st.running = Some(id);
-                    break 'pick (id, spec, cancel, live);
-                }
-                st = inner.cv.wait(st).unwrap();
-            }
-        };
-        inner.publish();
-
-        let result = spec.execute(
-            &inner.platform,
-            &inner.cfg.base,
-            inner.cfg.recovery,
-            Some(live),
-            Some(cancel),
-        );
-
-        {
-            let mut st = inner.state.lock().unwrap();
-            let latency = {
-                let job = st.jobs.get_mut(&id).expect("running job exists");
-                let latency = job.submitted.elapsed();
-                job.latency = Some(latency);
-                match result {
-                    Ok(report) => {
-                        job.state = JobState::Done;
-                        job.report = Some(report);
-                    }
-                    Err(e) => {
-                        if matches!(e.as_pipeline(), Some(PipelineError::Cancelled)) {
-                            job.state = JobState::Cancelled;
-                        } else {
-                            job.state = JobState::Failed;
-                            job.error = Some(e.to_string());
-                        }
-                    }
-                }
-                latency
-            };
-            let job_state = st.jobs[&id].state;
-            let job_recoveries = st.jobs[&id].report.as_ref().map_or(0, |r| r.recoveries);
-            match job_state {
-                JobState::Done => {
-                    st.counters.completed += 1;
-                    st.counters.recoveries += job_recoveries;
-                    st.latencies.push(latency);
-                }
-                JobState::Cancelled => st.counters.cancelled += 1,
-                _ => st.counters.failed += 1,
-            }
-            st.completed_order.push(id);
-            st.running = None;
-        }
-        inner.publish();
+/// One job on its runner thread: execute it, record the result, start or
+/// resume what that allows, and wake the waiters.
+fn run_job(inner: &Arc<Inner>, start: Start) {
+    let Start {
+        id,
+        spec,
+        control,
+        live,
+    } = start;
+    let result = spec.execute(
+        &inner.platform,
+        &inner.cfg.base,
+        inner.cfg.recovery,
+        Some(live),
+        Some(control),
+    );
+    {
+        let mut st = inner.lock();
+        st.finish(id, result);
+        inner.dispatch(&mut st);
     }
+    // Publish before waking the waiters, so a returned `wait` sees the
+    // job in the metrics.
+    inner.publish();
+    inner.finished.notify_all();
 }
 
 impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("service state lock poisoned")
+    }
+
+    /// Queue a job; [`Inner::dispatch`] then decides whether it starts.
     fn enqueue(&self, spec: JobSpec, priority: i64) -> u64 {
-        let mut st = self.state.lock().unwrap();
-        let id = st.next_id;
-        st.next_id += 1;
         let live = LiveTelemetry::new(
             self.platform.len(),
             u64::try_from(spec.total_cells()).unwrap_or(u64::MAX),
         );
-        let entry = JobEntry {
-            id,
-            name: spec.name(),
-            kind: spec.kind(),
-            priority,
-            state: JobState::Queued,
-            spec: Some(spec),
-            cancel: Arc::new(AtomicBool::new(false)),
-            live,
-            report: None,
-            error: None,
-            submitted: Instant::now(),
-            latency: None,
-        };
-        // Insert before the first queued job with a strictly lower
-        // priority: higher priority first, FIFO within a priority.
-        let pos = st
-            .queue
-            .iter()
-            .position(|qid| st.jobs[qid].priority < priority)
-            .unwrap_or(st.queue.len());
-        st.queue.insert(pos, id);
-        st.jobs.insert(id, entry);
-        st.counters.submitted += 1;
-        st.queue_peak = st.queue_peak.max(st.queue.len() as u64);
-        id
+        self.lock().enqueue(spec, priority, live)
+    }
+
+    /// The executor: apply the scheduling rules after a job was queued or
+    /// finished, starting each new job on a runner thread of its own.
+    /// Called under the state lock by the thread that changed the state,
+    /// so starting a job wakes no other thread. Does nothing once stopped.
+    fn dispatch(self: &Arc<Self>, st: &mut State) {
+        if self.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        while let Some(start) = st.schedule() {
+            // Reap finished runners; at most the active job and
+            // MAX_PARKED parked ones are still running.
+            for h in st.runners.extract_if(.., |h| h.is_finished()) {
+                let _ = h.join();
+            }
+            let inner = Arc::clone(self);
+            st.runners.push(
+                std::thread::Builder::new()
+                    .name("megasw-service-run".into())
+                    .spawn(move || run_job(&inner, start))
+                    .expect("spawn service runner"),
+            );
+        }
     }
 
     fn cancel(&self, id: u64) -> Option<JobState> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         let job = st.jobs.get_mut(&id)?;
         match job.state {
             JobState::Queued => {
                 job.state = JobState::Cancelled;
-                job.cancel.store(true, Ordering::Relaxed);
+                job.control.cancel();
                 st.counters.cancelled += 1;
                 st.queue.retain(|&q| q != id);
+                self.finished.notify_all();
             }
-            JobState::Running => job.cancel.store(true, Ordering::Relaxed),
+            JobState::Running => job.control.cancel(),
             _ => {}
         }
         Some(st.jobs[&id].state)
     }
 
-    /// Rebuild and publish the `service.*` registry plus `/health`.
+    /// Publish the `service.*` registry plus `/health`. Only a snapshot is
+    /// taken under the state lock; the registry is built after it.
     fn publish(&self) {
-        let st = self.state.lock().unwrap();
+        // Publishers run in snapshot order, so a stale snapshot never
+        // overwrites a newer one.
+        let _order = self.publishing.lock().expect("publish lock poisoned");
+        let snap = SloSnapshot::of(&self.lock());
+        let (m, health) = snap.registry();
+        self.hub.publish(m);
+        self.hub.set_health(true, health);
+    }
+}
+
+/// What one publish reads from [`State`]: no per-job work.
+struct SloSnapshot {
+    counters: Counters,
+    queue_depth: u64,
+    queue_peak: u64,
+    running: u64,
+    /// Exact nearest-rank p50/p90/p99 in ms plus the histogram, once any
+    /// job completed.
+    latency: Option<([u64; 3], Histogram)>,
+}
+
+impl SloSnapshot {
+    fn of(st: &State) -> SloSnapshot {
+        SloSnapshot {
+            counters: st.counters,
+            queue_depth: st.queue.len() as u64,
+            queue_peak: st.queue_peak,
+            running: st.running() as u64,
+            latency: (!st.slo.sorted.is_empty()).then(|| {
+                (
+                    [50.0, 90.0, 99.0].map(|p| st.slo.percentile_ms(p)),
+                    st.slo.histogram.clone(),
+                )
+            }),
+        }
+    }
+
+    /// The registry and the `/health` state label.
+    fn registry(self) -> (MetricsRegistry, &'static str) {
         let mut m = MetricsRegistry::new();
         m.describe("service.jobs_submitted", "Jobs accepted into the queue");
         m.describe("service.jobs_completed", "Jobs finished successfully");
@@ -527,9 +705,16 @@ impl Inner {
             "service.recoveries_total",
             "Device losses survived across all jobs",
         );
+        m.describe(
+            "service.preemptions_total",
+            "Times a running job was parked in place for a higher-priority job",
+        );
         m.describe("service.queue_depth", "Jobs currently waiting to run");
         m.describe("service.queue_peak", "Highest queue depth observed");
-        m.describe("service.jobs_running", "Jobs currently executing (0 or 1)");
+        m.describe(
+            "service.jobs_running",
+            "Jobs currently executing: the active job plus the parked ones",
+        );
         m.describe(
             "service.job_latency_p50_ms",
             "Median submission-to-completion latency of completed jobs (ms)",
@@ -542,46 +727,33 @@ impl Inner {
             "service.job_latency_p99_ms",
             "p99 submission-to-completion latency of completed jobs (ms)",
         );
-        m.incr("service.jobs_submitted", st.counters.submitted);
-        m.incr("service.jobs_completed", st.counters.completed);
-        m.incr("service.jobs_failed", st.counters.failed);
-        m.incr("service.jobs_cancelled", st.counters.cancelled);
-        m.incr("service.recoveries_total", st.counters.recoveries);
-        m.incr("service.queue_depth", st.queue.len() as u64);
-        m.incr("service.queue_peak", st.queue_peak);
-        m.incr("service.jobs_running", u64::from(st.running.is_some()));
-        if !st.latencies.is_empty() {
-            let mut lats = st.latencies.clone();
-            lats.sort_unstable();
+        let c = self.counters;
+        m.incr("service.jobs_submitted", c.submitted);
+        m.incr("service.jobs_completed", c.completed);
+        m.incr("service.jobs_failed", c.failed);
+        m.incr("service.jobs_cancelled", c.cancelled);
+        m.incr("service.recoveries_total", c.recoveries);
+        m.incr("service.preemptions_total", c.preemptions);
+        m.incr("service.queue_depth", self.queue_depth);
+        m.incr("service.queue_peak", self.queue_peak);
+        m.incr("service.jobs_running", self.running);
+        if let Some(([p50, p90, p99], histogram)) = self.latency {
             // Explicit counters, not histogram buckets: the Prometheus
             // text exposition renders no quantile lines, and the SLO is
             // exactly "p50/p99 over completed jobs".
-            m.incr(
-                "service.job_latency_p50_ms",
-                percentile(&lats, 50.0).as_millis() as u64,
-            );
-            m.incr(
-                "service.job_latency_p90_ms",
-                percentile(&lats, 90.0).as_millis() as u64,
-            );
-            m.incr(
-                "service.job_latency_p99_ms",
-                percentile(&lats, 99.0).as_millis() as u64,
-            );
-            for l in &lats {
-                m.observe("service.job_latency_ms", l.as_secs_f64() * 1e3);
-            }
+            m.incr("service.job_latency_p50_ms", p50);
+            m.incr("service.job_latency_p90_ms", p90);
+            m.incr("service.job_latency_p99_ms", p99);
+            m.insert_histogram("service.job_latency_ms", histogram);
         }
-        let health = if st.running.is_some() {
+        let health = if self.running > 0 {
             "running"
-        } else if st.queue.is_empty() {
+        } else if self.queue_depth == 0 {
             "idle"
         } else {
             "queued"
         };
-        drop(st);
-        self.hub.publish(m);
-        self.hub.set_health(true, health);
+        (m, health)
     }
 }
 
@@ -593,7 +765,7 @@ fn route(inner: &Arc<Inner>, req: &Request) -> Option<Response> {
         return match req.method.as_str() {
             "POST" => Some(match submit_from_json(inner, &req.body_str()) {
                 Ok(id) => {
-                    inner.cv.notify_all();
+                    inner.dispatch(&mut inner.lock());
                     inner.publish();
                     Response::json(
                         "202 Accepted",
@@ -603,7 +775,7 @@ fn route(inner: &Arc<Inner>, req: &Request) -> Option<Response> {
                 Err(msg) => bad_request(&msg),
             }),
             "GET" => {
-                let st = inner.state.lock().unwrap();
+                let st = inner.lock();
                 let jobs: Vec<String> = st.jobs.values().map(|j| job_json(j, false)).collect();
                 Some(Response::ok_json(format!(
                     "{{\"jobs\": [{}]}}\n",
@@ -624,7 +796,7 @@ fn route(inner: &Arc<Inner>, req: &Request) -> Option<Response> {
     };
     match (req.method.as_str(), events) {
         ("GET", false) => Some({
-            let st = inner.state.lock().unwrap();
+            let st = inner.lock();
             match st.jobs.get(&id) {
                 Some(job) => Response::ok_json(format!("{}\n", job_json(job, true))),
                 None => not_found(id),
@@ -660,7 +832,7 @@ fn not_found(id: u64) -> Response {
 /// at the terminal state), fed from the job's [`LiveTelemetry`].
 fn events_stream(inner: &Arc<Inner>, id: u64) -> Response {
     {
-        let st = inner.state.lock().unwrap();
+        let st = inner.lock();
         if !st.jobs.contains_key(&id) {
             return not_found(id);
         }
@@ -672,7 +844,7 @@ fn events_stream(inner: &Arc<Inner>, id: u64) -> Response {
         .spawn(move || {
             loop {
                 let (state, line) = {
-                    let st = inner.state.lock().unwrap();
+                    let st = inner.lock();
                     let Some(job) = st.jobs.get(&id) else { return };
                     (job.state, event_line(job))
                 };
@@ -716,12 +888,13 @@ fn event_line(job: &JobEntry) -> String {
 /// One job as a JSON object; `full` adds the report (outcome list).
 fn job_json(job: &JobEntry, full: bool) -> String {
     let mut s = format!(
-        "{{\"job\": {}, \"name\": \"{}\", \"kind\": \"{}\", \"state\": \"{}\", \"priority\": {}",
+        "{{\"job\": {}, \"name\": \"{}\", \"kind\": \"{}\", \"state\": \"{}\", \"priority\": {}, \"preemptions\": {}",
         job.id,
         escape(&job.name),
         job.kind.name(),
         job.state.name(),
         job.priority,
+        job.preemptions,
     );
     if let Some(latency) = job.latency {
         s.push_str(&format!(
@@ -1002,6 +1175,10 @@ mod tests {
         let queued = svc.submit(JobSpec::single("parked", a, b));
         assert_eq!(svc.cancel(queued), Some(JobState::Cancelled));
         assert_eq!(svc.cancel(999), None);
+        assert!(svc.wait(999, Duration::from_secs(1)).is_none());
+        assert!(svc.wait(running, Duration::ZERO).is_none(), "timed out");
+        let waited = svc.wait(queued, Duration::from_secs(30)).unwrap();
+        assert_eq!(waited.state, JobState::Cancelled);
         let status = svc.status(queued).unwrap();
         assert_eq!(status.state, JobState::Cancelled);
         assert!(status.report.is_none());
@@ -1085,5 +1262,281 @@ mod tests {
                 .join(", ")
         );
         assert!(json::parse(&listing).is_ok(), "{listing}");
+    }
+
+    /// Block until job `id` has started and computed at least `fraction`
+    /// of its cells.
+    fn wait_for_progress(svc: &AlignService, id: u64, fraction: f64) {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            {
+                let st = svc.inner.lock();
+                let job = &st.jobs[&id];
+                assert!(!job.state.is_terminal(), "job {id} ended too early");
+                if job.state == JobState::Running && job.live.snapshot().fraction_done() >= fraction
+                {
+                    return;
+                }
+            }
+            assert!(Instant::now() < deadline, "job {id} made no progress");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A forced-scalar single pair: slow enough to still be running
+    /// while a test stacks other jobs on top of it, even on a loaded host.
+    fn slow_job(name: &str, a: &[u8], b: &[u8]) -> JobSpec {
+        JobSpec::SinglePair {
+            id: name.into(),
+            a: a.to_vec(),
+            b: b.to_vec(),
+            config: Some(RunConfig::test_default().with_dispatch(KernelDispatch::ForceScalar)),
+            faults: FaultSchedule::default(),
+        }
+    }
+
+    fn solo_best(a: &[u8], b: &[u8]) -> megasw_sw::BestCell {
+        crate::pipeline::PipelineRun::new(a, b, &Platform::env1())
+            .config(ServiceConfig::test_default().base)
+            .run()
+            .unwrap()
+            .best
+    }
+
+    #[test]
+    fn preempted_long_job_parks_in_place_and_resumes_bit_identically() {
+        let svc = service();
+        let (long_a, long_b) = seqs(6_000, 2_000);
+        let (a, b) = seqs(300, 300);
+        let long = svc.submit_with_priority(slow_job("long", &long_a, &long_b), 0);
+        wait_for_progress(&svc, long, 0.1);
+        let small = svc.submit_with_priority(JobSpec::single("small", a.clone(), b.clone()), 5);
+        let done = svc
+            .wait(small, Duration::from_secs(60))
+            .expect("small job finished");
+        assert_eq!(done.state, JobState::Done);
+        assert_eq!(done.report.unwrap().outcomes[0].best, solo_best(&a, &b));
+        let parked = svc.status(long).unwrap();
+        assert_eq!(
+            parked.state,
+            JobState::Running,
+            "a parked job stays running"
+        );
+        assert_eq!(parked.preemptions, 1);
+        {
+            let st = svc.inner.lock();
+            let text = job_json(&st.jobs[&long], false);
+            let v = json::parse(&text).unwrap();
+            assert_eq!(v.get("state").unwrap().as_str(), Some("running"));
+            assert_eq!(v.get("preemptions").unwrap().as_f64(), Some(1.0));
+            assert!(event_line(&st.jobs[&long]).contains("\"state\": \"running\""));
+        }
+        let finished = svc
+            .wait(long, Duration::from_secs(120))
+            .expect("long job finished");
+        assert_eq!(finished.state, JobState::Done);
+        assert_eq!(
+            finished.report.unwrap().outcomes[0].best,
+            solo_best(&long_a, &long_b)
+        );
+        assert_eq!(svc.completed_order(), vec![small, long]);
+        let reg = svc.hub().registry();
+        assert!(reg.counter("service.preemptions_total").unwrap() >= 1);
+        assert_eq!(reg.counter("service.jobs_running"), Some(0));
+    }
+
+    #[test]
+    fn max_parked_caps_the_stack_of_parked_jobs() {
+        let svc = service();
+        let (a, b) = seqs(2_500, 2_500);
+        let want = solo_best(&a, &b);
+        // Priorities 0..=5, each submitted once the previous one runs: the
+        // first four are parked, priority 4 runs, and priority 5 finds the
+        // stack full and waits in the queue.
+        let ids: Vec<u64> = (0..6)
+            .map(|p| {
+                let id = svc.submit_with_priority(slow_job(&format!("p{p}"), &a, &b), p);
+                if p < 5 {
+                    wait_for_progress(&svc, id, 0.05);
+                }
+                assert!(svc.inner.lock().parked.len() <= MAX_PARKED);
+                id
+            })
+            .collect();
+        {
+            let st = svc.inner.lock();
+            assert_eq!(st.parked, ids[..4].to_vec());
+            assert_eq!(st.active, Some(ids[4]));
+            assert_eq!(st.jobs[&ids[5]].state, JobState::Queued);
+            assert_eq!(st.running(), 5);
+        }
+        for &id in &ids {
+            let s = svc
+                .wait(id, Duration::from_secs(120))
+                .expect("job finished");
+            assert_eq!(s.state, JobState::Done);
+            assert_eq!(s.report.unwrap().outcomes[0].best, want);
+        }
+        // Priority 5 outranks the parked priority 3 when priority 4 ends;
+        // then the stack unwinds.
+        let order = [4, 5, 3, 2, 1, 0].map(|k| ids[k]).to_vec();
+        assert_eq!(svc.completed_order(), order);
+        let reg = svc.hub().registry();
+        assert_eq!(reg.counter("service.preemptions_total"), Some(4));
+    }
+
+    #[test]
+    fn shutdown_with_parked_jobs_returns_promptly() {
+        let mut svc = service();
+        let (a, b) = seqs(6_000, 2_000);
+        let low = svc.submit_with_priority(slow_job("low", &a, &b), 0);
+        wait_for_progress(&svc, low, 0.05);
+        let high = svc.submit_with_priority(slow_job("high", &a, &b), 1);
+        wait_for_progress(&svc, high, 0.05);
+        let queued = svc.submit_with_priority(slow_job("queued", &a, &b), 1);
+        assert_eq!(svc.inner.lock().parked, vec![low]);
+        let t = Instant::now();
+        svc.shutdown();
+        assert!(
+            t.elapsed() < Duration::from_secs(2),
+            "shutdown took {:?}",
+            t.elapsed()
+        );
+        assert_eq!(svc.status(low).unwrap().state, JobState::Cancelled);
+        assert_eq!(svc.status(high).unwrap().state, JobState::Cancelled);
+        assert_eq!(svc.status(queued).unwrap().state, JobState::Queued);
+        let st = svc.inner.lock();
+        assert!(st.parked.is_empty() && st.active.is_none());
+    }
+
+    #[test]
+    fn job_finishing_while_parked_is_recorded_once_and_ties_resume_parked_first() {
+        let mut st = State::new();
+        let (a, b) = seqs(40, 40);
+        let live = || LiveTelemetry::new(2, 1_600);
+        let run = |start: Start| {
+            start.spec.execute(
+                &Platform::env1(),
+                &RunConfig::test_default(),
+                None,
+                None,
+                None,
+            )
+        };
+        let low = st.enqueue(JobSpec::single("low", a.clone(), b.clone()), 0, live());
+        let low_run = st.schedule().expect("low starts");
+        let high = st.enqueue(JobSpec::single("high", a.clone(), b.clone()), 1, live());
+        let tie = st.enqueue(JobSpec::single("tie", a.clone(), b.clone()), 0, live());
+        let high_run = st.schedule().expect("high preempts low");
+        assert_eq!((st.active, st.parked.clone()), (Some(high), vec![low]));
+        assert!(st.jobs[&low].control.is_parked());
+        assert_eq!(st.counters.preemptions, 1);
+        // Low's last poll point was already behind it: it finishes parked.
+        st.finish(low, run(low_run));
+        assert!(st.parked.is_empty(), "a finished job leaves the stack");
+        assert_eq!(st.jobs[&low].state, JobState::Done);
+        assert_eq!(st.active, Some(high));
+        assert!(st.schedule().is_none(), "tie does not outrank high");
+        st.finish(high, run(high_run));
+        let tie_run = st.schedule().expect("nothing parked: tie starts");
+        st.finish(tie, run(tie_run));
+        assert_eq!(st.completed_order, vec![low, high, tie]);
+        assert_eq!(st.counters.completed, 3);
+        assert_eq!(st.slo.sorted.len(), 3);
+
+        // On a tie between the parked job and the queue's head, the
+        // parked job resumes first.
+        let p = st.enqueue(JobSpec::single("p", a.clone(), b.clone()), 0, live());
+        let _p_run = st.schedule().expect("p starts");
+        let q = st.enqueue(JobSpec::single("q", a.clone(), b.clone()), 2, live());
+        let q_run = st.schedule().expect("q preempts p");
+        let r = st.enqueue(JobSpec::single("r", a, b), 0, live());
+        st.finish(q, run(q_run));
+        assert!(st.schedule().is_none(), "p resumes instead of starting r");
+        assert_eq!(st.active, Some(p));
+        assert!(!st.jobs[&p].control.is_parked());
+        assert_eq!(st.queue.front(), Some(&r));
+    }
+
+    #[test]
+    fn preemption_storm_completes_every_job_exactly_once() {
+        let svc = service();
+        let (a, b) = seqs(400, 300);
+        let want = solo_best(&a, &b);
+        let ids: Vec<u64> = (0..60)
+            .map(|k| {
+                let spec = if k % 5 == 4 {
+                    JobSpec::batch(vec![
+                        BatchJob::new("x", a.clone(), b.clone()),
+                        BatchJob::new("y", b.clone(), a.clone()),
+                    ])
+                } else {
+                    JobSpec::single(format!("j{k}"), a.clone(), b.clone())
+                };
+                svc.submit_with_priority(spec, (k * 7 % 3) as i64)
+            })
+            .collect();
+        for &id in &ids {
+            let s = svc
+                .wait(id, Duration::from_secs(120))
+                .expect("job finished");
+            assert_eq!(s.state, JobState::Done, "{s:?}");
+            assert_eq!(s.report.unwrap().outcomes[0].best, want);
+        }
+        let mut order = svc.completed_order();
+        order.sort_unstable();
+        assert_eq!(order, ids, "every job is recorded exactly once");
+        let st = svc.inner.lock();
+        assert!(st.parked.is_empty() && st.active.is_none());
+        assert_eq!(st.counters.completed, 60);
+    }
+
+    #[test]
+    fn incremental_slo_equals_a_from_scratch_rebuild() {
+        let mut st = State::new();
+        // A fixed stream with repeats, sub-millisecond and multi-second
+        // latencies.
+        let mut x = 12_345u64;
+        let lats: Vec<Duration> = (0..3_000)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                Duration::from_micros(
+                    (x >> 33) % 2_500_000 / if x.is_multiple_of(7) { 1_000 } else { 1 },
+                )
+            })
+            .collect();
+        for &l in &lats {
+            st.slo.record(l);
+            st.counters.completed += 1;
+        }
+        let (got, _) = SloSnapshot::of(&st).registry();
+
+        // The rebuild every publish used to do.
+        let mut sorted = lats.clone();
+        sorted.sort_unstable();
+        let mut want = MetricsRegistry::new();
+        for l in &sorted {
+            want.observe("service.job_latency_ms", l.as_secs_f64() * 1e3);
+        }
+        for (name, p) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0)] {
+            assert_eq!(
+                got.counter(&format!("service.job_latency_{name}_ms")),
+                Some(percentile(&sorted, p).as_millis() as u64),
+                "{name}"
+            );
+        }
+        assert_eq!(got.counter("service.jobs_completed"), Some(3_000));
+        let (g, w) = (
+            got.histogram("service.job_latency_ms").unwrap(),
+            want.histogram("service.job_latency_ms").unwrap(),
+        );
+        assert_eq!(g.cumulative_buckets(), w.cumulative_buckets());
+        assert_eq!((g.count, g.min, g.max), (w.count, w.min, w.max));
+        assert!(
+            (g.sum - w.sum).abs() <= 1e-9 * w.sum,
+            "{} vs {}",
+            g.sum,
+            w.sum
+        );
     }
 }

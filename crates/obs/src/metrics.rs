@@ -175,6 +175,12 @@ impl MetricsRegistry {
             .record(value);
     }
 
+    /// Install a histogram kept elsewhere (say, incrementally by a
+    /// long-lived owner), replacing any histogram of the same name.
+    pub fn insert_histogram(&mut self, name: &str, histogram: Histogram) {
+        self.histograms.insert(name.to_string(), histogram);
+    }
+
     /// Attach a one-line help string to a metric. Exposition formats that
     /// carry metadata (`# HELP` in Prometheus text) render it; metrics
     /// without a description get a generated fallback line.
