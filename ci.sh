@@ -20,6 +20,12 @@ cargo test --release -q -p megasw-multigpu --lib -- \
     park preempt token_set_mid_run_cancels_every_route
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# No function opts out of clippy's argument-count lint: a long parameter
+# list is a context struct waiting to be named.
+if grep -rn "too_many_arguments" crates/; then
+    echo "ci: FAIL — clippy::too_many_arguments allowed under crates/" >&2
+    exit 1
+fi
 
 # Pruning conformance: distributed block pruning must stay bit-identical
 # to the unpruned reference on every geometry, survive recovery, and keep
@@ -84,6 +90,22 @@ MEGASW_BENCH_SAMPLES=1 ./target/release/bench-artifact BENCH_ci.json
 ./target/release/bench-diff BENCH_ci.json BENCH_ci.json
 ./target/release/bench-diff --shape-only \
     crates/bench/fixtures/BENCH_baseline.json BENCH_ci.json
+# The des, recover, prune and rebalance anchors are deterministic model
+# outputs (142.56615602516217, 115.08834360332455, 271.9906005270677 and
+# 118.45161061911193 GCUPS), so their medians must equal the committed
+# fixture's digit for digit on any host.
+anchor_median() {
+    grep -o "\"name\": \"$1\", \"cells\": [0-9]*, \"gcups\": {\"median\": [^,]*" "$2" |
+        sed 's/.*"median": //'
+}
+for anchor in des recover prune rebalance; do
+    want=$(anchor_median "$anchor.env2.3gpu" crates/bench/fixtures/BENCH_baseline.json)
+    got=$(anchor_median "$anchor.env2.3gpu" BENCH_ci.json)
+    if [ -z "$want" ] || [ "$got" != "$want" ]; then
+        echo "ci: FAIL — DES anchor $anchor.env2.3gpu median '$got' != fixture '$want'" >&2
+        exit 1
+    fi
+done
 rc=0
 ./target/release/bench-diff \
     crates/bench/fixtures/BENCH_baseline.json \

@@ -382,9 +382,10 @@ fn run_recovery_experiment(name: &str, platform: &Platform, config: &RunConfig) 
     let run = DesSim::new(m, n, platform)
         .config(config.clone())
         .observer(obs.clone())
-        .faults(FaultPlan {
+        .faults(ScheduledFault {
             device: 1,
-            fail_at_block_row: 976,
+            block_row: 976,
+            phase: FaultPhase::Compute,
         })
         .recover(RecoveryPolicy::default())
         .run();

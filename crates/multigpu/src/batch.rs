@@ -271,15 +271,6 @@ impl std::fmt::Display for BatchFault {
     }
 }
 
-/// Former name of the per-pair outcome record, now the workload-agnostic
-/// [`JobOutcome`] in [`crate::job`] shared by batch reports and the
-/// alignment service. The fields are unchanged — only the name moved.
-#[deprecated(
-    since = "0.9.0",
-    note = "renamed to multigpu::job::JobOutcome (same fields); this alias lasts one release"
-)]
-pub type PairOutcome = JobOutcome;
-
 /// Aggregate result of a batch run: per-pair outcomes in submission order
 /// plus throughput and latency accounting.
 #[derive(Debug, Clone)]

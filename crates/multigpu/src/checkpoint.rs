@@ -49,6 +49,16 @@ impl Default for RecoveryPolicy {
     }
 }
 
+/// The checkpoint interval, in block-rows, that a recovering run needs on
+/// top of [`RunConfig::validate`](crate::config::RunConfig::validate):
+/// without a cadence there is no wave to rewind to.
+pub(crate) fn recovery_interval(config: &crate::config::RunConfig) -> Result<usize, String> {
+    config.policy.checkpoint.rows_interval().ok_or_else(|| {
+        "recovery requires a checkpoint cadence (policy.checkpoint must not be Disabled)"
+            .to_string()
+    })
+}
+
 /// One slab's contribution to a checkpoint wave: its segment of the bottom
 /// border (H and F lanes, `width + 1` entries including the shared corner)
 /// plus the best cell this device has seen since its attempt started and
@@ -149,22 +159,20 @@ impl CheckpointStore {
         inner.attempts.len() - 1
     }
 
-    /// Deposit slab `slab_idx`'s segment for `wave`: the H/F lanes of its
-    /// bottom border (`width + 1` entries), the device's running best since
-    /// the attempt started, and its current pruning watermark (0 when
-    /// pruning is off).
+    /// Deposit slab `slab_idx`'s segment for `wave`: the `(H, F)` lanes of
+    /// its bottom border (`width + 1` entries each), the device's running
+    /// best since the attempt started, and its current pruning watermark
+    /// (0 when pruning is off).
     ///
     /// Takes slices and copies under the store lock, so workers can reuse
     /// one per-lane scratch buffer across block-rows instead of allocating
     /// a fresh `Vec` pair per deposit.
-    #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
         attempt: usize,
         wave: usize,
         slab_idx: usize,
-        h: &[Score],
-        f: &[Score],
+        (h, f): (&[Score], &[Score]),
         best: BestCell,
         watermark: Score,
     ) {
@@ -273,7 +281,7 @@ mod tests {
         let store = CheckpointStore::new(10);
         let a = store.begin_attempt(0, BestCell::ZERO, &[(1, 6), (7, 4)]);
         let (h, f) = seg(6, 5);
-        store.record(a, 4, 0, &h, &f, BestCell::ZERO, 0);
+        store.record(a, 4, 0, (&h, &f), BestCell::ZERO, 0);
         assert!(store.newest_complete().is_none());
     }
 
@@ -283,8 +291,8 @@ mod tests {
         let a = store.begin_attempt(0, BestCell::ZERO, &[(1, 6), (7, 4)]);
         let (h0, f0) = seg(6, 5);
         let (h1, f1) = seg(4, 9);
-        store.record(a, 4, 0, &h0, &f0, BestCell::new(3, 2, 2), 3);
-        store.record(a, 4, 1, &h1, &f1, BestCell::new(7, 3, 8), 7);
+        store.record(a, 4, 0, (&h0, &f0), BestCell::new(3, 2, 2), 3);
+        store.record(a, 4, 1, (&h1, &f1), BestCell::new(7, 3, 8), 7);
         let ck = store.newest_complete().unwrap();
         assert_eq!(ck.wave, 4);
         assert_eq!(ck.h.len(), 11);
@@ -302,14 +310,14 @@ mod tests {
         let store = CheckpointStore::new(8);
         let a0 = store.begin_attempt(0, BestCell::ZERO, &[(1, 4), (5, 4)]);
         let (h, f) = seg(4, 1);
-        store.record(a0, 2, 0, &h, &f, BestCell::ZERO, 0);
-        store.record(a0, 2, 1, &h, &f, BestCell::ZERO, 0);
+        store.record(a0, 2, 0, (&h, &f), BestCell::ZERO, 0);
+        store.record(a0, 2, 1, (&h, &f), BestCell::ZERO, 0);
         // Attempt 0 also has a newer but incomplete wave.
-        store.record(a0, 4, 0, &h, &f, BestCell::ZERO, 0);
+        store.record(a0, 4, 0, (&h, &f), BestCell::ZERO, 0);
         // A second attempt (one surviving slab) completes wave 6.
         let a1 = store.begin_attempt(2, BestCell::new(9, 1, 1), &[(1, 8)]);
         let (h8, f8) = seg(8, 2);
-        store.record(a1, 6, 0, &h8, &f8, BestCell::ZERO, 4);
+        store.record(a1, 6, 0, (&h8, &f8), BestCell::ZERO, 4);
         let ck = store.newest_complete().unwrap();
         assert_eq!(ck.wave, 6);
         assert_eq!(ck.h, vec![2; 9]);
@@ -324,19 +332,19 @@ mod tests {
         let store = CheckpointStore::new(8);
         let (h, f) = seg(4, 1);
         let a0 = store.begin_attempt(0, BestCell::ZERO, &[(1, 4), (5, 4)]);
-        store.record(a0, 2, 0, &h, &f, BestCell::ZERO, 0);
-        store.record(a0, 2, 1, &h, &f, BestCell::ZERO, 0);
-        store.record(a0, 4, 0, &h, &f, BestCell::ZERO, 0);
+        store.record(a0, 2, 0, (&h, &f), BestCell::ZERO, 0);
+        store.record(a0, 2, 1, (&h, &f), BestCell::ZERO, 0);
+        store.record(a0, 4, 0, (&h, &f), BestCell::ZERO, 0);
         // Wave 2 is the newest complete; partial wave 4 rides along.
         assert_eq!(store.held_waves(), vec![(0, 2), (0, 4)]);
-        store.record(a0, 4, 1, &h, &f, BestCell::ZERO, 0);
-        store.record(a0, 6, 1, &h, &f, BestCell::ZERO, 0);
+        store.record(a0, 4, 1, (&h, &f), BestCell::ZERO, 0);
+        store.record(a0, 6, 1, (&h, &f), BestCell::ZERO, 0);
         assert_eq!(store.held_waves(), vec![(0, 4), (0, 6)]);
         // A resumed attempt completing a newer wave also drops attempt 0's
         // older waves, complete (4) and partial (6) alike.
         let a1 = store.begin_attempt(4, BestCell::ZERO, &[(1, 8)]);
         let (h8, f8) = seg(8, 2);
-        store.record(a1, 8, 0, &h8, &f8, BestCell::new(5, 1, 1), 0);
+        store.record(a1, 8, 0, (&h8, &f8), BestCell::new(5, 1, 1), 0);
         assert_eq!(store.held_waves(), vec![(1, 8)]);
         let ck = store.newest_complete().unwrap();
         assert_eq!(ck.wave, 8);

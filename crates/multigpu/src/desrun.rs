@@ -29,12 +29,14 @@
 //! entire border column in one transfer. This is the non-overlapped
 //! baseline the overlap-ablation figure contrasts against.
 
-use crate::checkpoint::RecoveryPolicy;
-use crate::config::{PartitionPolicy, PruneMode, RebalanceMode, RunConfig};
-use crate::partition::{make_slabs, make_slabs_excluding_with_weights, resplit_slabs, Slab};
+use crate::balance::plan_rebalance;
+use crate::checkpoint::{recovery_interval, RecoveryPolicy};
+use crate::config::{PruneMode, RebalanceMode, RunConfig};
+use crate::partition::{make_slabs, survivor_slabs, Slab};
 use crate::pipeline::{FaultPhase, FaultSchedule, PipelineError};
 use crate::stats::{
-    DeviceReport, PruningReport, RebalanceReport, RecoveryReport, RunReport, StallAttribution,
+    DeviceReport, PhaseClocks, PruningReport, RebalanceReport, RecoveryReport, RunReport,
+    StallAttribution,
 };
 use megasw_gpusim::{
     ClockDrift, KernelModel, Platform, ResourceId, Schedule, SimTime, SpanKind, TaskId,
@@ -69,13 +71,13 @@ pub struct DeviceLossEvent {
 /// verdict and the idle-time breakdown.
 pub struct DesRun {
     pub report: RunReport,
-    /// The final (surviving) attempt's schedule. Recovered runs rebuilt the
-    /// task graph per attempt; earlier attempts' schedules are folded into
+    /// The final graph's schedule. Segmented and recovered runs rebuild the
+    /// task graph per segment or attempt; earlier schedules are folded into
     /// the time offset and are not retained.
     pub schedule: Schedule,
     /// Per-slab memory footprints, or the first device that does not fit.
     pub memory: Result<Vec<crate::memory::DeviceMemoryPlan>, crate::memory::MemoryError>,
-    /// Per-slab idle breakdown, in slab order (final attempt).
+    /// Per-slab idle breakdown, in slab order (final graph).
     pub stalls: Vec<StallBreakdown>,
     /// Every injected device loss, in simulated-time order. Pair with
     /// [`megasw_gpusim::SpanKind::DeviceLoss`] when rendering Gantt charts.
@@ -210,13 +212,12 @@ impl<'a> DesSim<'a> {
     }
 
     /// Execute the simulation.
+    ///
+    /// A configuration that [`RunConfig::validate`] rejects — or recovery
+    /// without a checkpoint cadence — never reaches the simulator: the run
+    /// comes back aborted with [`PipelineError::InvalidConfig`], as the
+    /// threaded backend returns it.
     pub fn run(self) -> DesRun {
-        let slabs = make_slabs(
-            self.n,
-            self.config.block_w,
-            self.platform,
-            &self.config.policy.partition,
-        );
         let mode = if self.bulk {
             Mode::BulkSynchronous
         } else {
@@ -227,6 +228,7 @@ impl<'a> DesSim<'a> {
             n: self.n,
             platform: self.platform,
             config: &self.config,
+            mode,
             obs: &self.observer,
             live: self.live.as_ref(),
             // The bulk baseline never prunes: its whole-slab kernels have
@@ -239,24 +241,42 @@ impl<'a> DesSim<'a> {
             identity: self.identity,
             drifts: &self.drifts,
         };
-        if mode == Mode::FineGrain
-            && self.m > 0
-            && !slabs.is_empty()
-            && (!self.faults.is_empty() || self.recovery.is_some())
-        {
-            // Fault injection takes precedence: the fault/recovery mirror
-            // does not model rebalancing (the threaded backend covers that
-            // composition bit-exactly).
-            run_with_faults(&env, &slabs, &self.faults, self.recovery)
-        } else if mode == Mode::FineGrain
-            && self.m > 0
-            && !slabs.is_empty()
-            && self.config.policy.rebalance.is_enabled()
-        {
-            run_rebalanced(&env, &slabs)
-        } else {
-            run_plain(&env, &slabs, mode, self.recovery)
+        let mut st = Progress {
+            slabs: Vec::new(),
+            start_row: 0,
+            offset: SimTime::ZERO,
+            recovery: self.recovery.map(|_| RecoveryReport::default()),
+            rebalance: (mode == Mode::FineGrain && self.config.policy.rebalance.is_enabled())
+                .then(RebalanceReport::default),
+            losses: Vec::new(),
+            memory: Ok(Vec::new()),
+        };
+        let valid = self.config.validate().and_then(|()| match self.recovery {
+            Some(_) => recovery_interval(&self.config).map(drop),
+            None => Ok(()),
+        });
+        if let Err(msg) = valid {
+            return stopped_run(
+                &env,
+                st,
+                Schedule::new(),
+                Some(PipelineError::InvalidConfig(msg)),
+            );
         }
+        st.slabs = make_slabs(
+            self.n,
+            self.config.block_w,
+            self.platform,
+            &self.config.policy.partition,
+        );
+        st.memory = crate::memory::check_platform(self.m, &st.slabs, self.platform, &self.config);
+        if self.m == 0 || st.slabs.is_empty() {
+            return stopped_run(&env, st, Schedule::new(), None);
+        }
+        // The bulk baseline is one fault-free segment.
+        let no_faults = FaultSchedule::default();
+        let faults = if self.bulk { &no_faults } else { &self.faults };
+        simulate(&env, st, faults, self.recovery)
     }
 }
 
@@ -290,6 +310,7 @@ struct DesEnv<'a> {
     n: usize,
     platform: &'a Platform,
     config: &'a RunConfig,
+    mode: Mode,
     obs: &'a Recorder,
     live: Option<&'a Arc<LiveTelemetry>>,
     /// Effective pruning mode ([`PruneMode::Off`] for the bulk baseline).
@@ -473,7 +494,6 @@ struct TaskGraph {
 fn build_task_graph(
     env: &DesEnv<'_>,
     slabs: &[Slab],
-    mode: Mode,
     start_row: usize,
     end_row: usize,
 ) -> TaskGraph {
@@ -509,7 +529,7 @@ fn build_task_graph(
 
     let prune = PruneModel::new(env, slabs);
 
-    match mode {
+    match env.mode {
         Mode::FineGrain => {
             // Tasks are created along anti-diagonals of the (row, slab)
             // plane — the order in which they actually become ready. This
@@ -649,125 +669,110 @@ fn drift_scale(env: &DesEnv<'_>, device: usize, r: usize) -> f64 {
     env.drifts.iter().map(|d| d.scale_at(device, r)).product()
 }
 
-/// The fault-free path (and the bulk baseline): one attempt, no offsets.
-fn run_plain(
-    env: &DesEnv<'_>,
-    slabs: &[Slab],
-    mode: Mode,
-    policy: Option<RecoveryPolicy>,
-) -> DesRun {
-    let memory = crate::memory::check_platform(env.m, slabs, env.platform, env.config);
-    if env.m == 0 || slabs.is_empty() {
-        let report = RunReport {
-            best: megasw_sw::BestCell::ZERO,
-            total_cells: env.m as u128 * env.n as u128,
-            wall_time: None,
-            gcups_wall: None,
-            sim_time: Some(SimTime::ZERO),
-            gcups_sim: Some(0.0),
-            devices: Vec::new(),
-            pruning: env.prune_mode.is_enabled().then_some(PruningReport {
-                mode: env.prune_mode,
-                tiles_pruned: 0,
-                tiles_total: 0,
-                cells_skipped: 0,
-                watermark_lag: 0,
-            }),
-            recovery: policy.map(|_| RecoveryReport::default()),
-            rebalance: (mode == Mode::FineGrain && env.config.policy.rebalance.is_enabled())
-                .then_some(RebalanceReport::default()),
-            kernel: megasw_sw::KernelSelection::modeled(env.config.policy.dispatch),
-            simd_rescues: 0,
-        };
-        return DesRun {
-            report,
-            schedule: Schedule::new(),
-            memory,
-            stalls: Vec::new(),
-            losses: Vec::new(),
-            aborted: None,
-        };
-    }
-    let rows = env.m.div_ceil(env.config.block_h);
-    let graph = build_task_graph(env, slabs, mode, 0, rows);
-    let recovery = policy.map(|_| RecoveryReport::default());
-    let rebalance = (mode == Mode::FineGrain && env.config.policy.rebalance.is_enabled())
-        .then_some(RebalanceReport::default());
-    finalize(
-        env,
-        slabs,
-        graph,
-        mode,
-        SimTime::ZERO,
-        recovery,
-        rebalance,
-        Vec::new(),
-        memory,
-    )
+/// What the DES driver carries from one segment or attempt to the next:
+/// the fields the threaded driver carries, plus the simulated clock.
+struct Progress {
+    slabs: Vec<Slab>,
+    /// First block-row of the next graph.
+    start_row: usize,
+    /// Simulated time consumed by completed segments and lost attempts.
+    offset: SimTime,
+    /// `Some` when a recovery policy is attached.
+    recovery: Option<RecoveryReport>,
+    /// `Some` when rebalance is on (fine-grain mode only).
+    rebalance: Option<RebalanceReport>,
+    losses: Vec<DeviceLossEvent>,
+    memory: Result<Vec<crate::memory::DeviceMemoryPlan>, crate::memory::MemoryError>,
 }
 
-/// The checkpoint-boundary rebalance driver — the DES twin of the threaded
-/// pipeline's segmented runner. Each segment spans `checkpoint interval ×
-/// window_waves` block-rows; at its boundary the controller samples each
-/// device's effective throughput from the solved segment schedule (covered
-/// cells, net of pruned tiles, per busy simulated nanosecond), predicts the
-/// balanced makespan, and re-splits the columns when the predicted relative
-/// improvement clears the hysteresis threshold. The hand-off is rewind-free:
-/// the next segment's graph starts at the boundary wave over the new slabs,
-/// exactly as the threaded workers resume from the boundary checkpoint's
-/// full-width border wave.
-fn run_rebalanced(env: &DesEnv<'_>, slabs: &[Slab]) -> DesRun {
+/// The DES's one driver — the simulated-time twin of
+/// [`crate::pipeline::PipelineRun`]'s loop over checkpoint-bounded
+/// attempts. Each iteration:
+///
+/// 1. builds (and solves) the task graph from `start_row` to the next
+///    segment boundary — `checkpoint interval × window_waves` block-rows
+///    with rebalance on, the whole matrix otherwise;
+/// 2. takes the earliest scheduled fault that applies to that graph and,
+///    with a policy and budget, recovers: survivors repartition
+///    ([`survivor_slabs`]) and the run rewinds to the newest complete
+///    checkpoint wave — with every slab's checkpoint deposited at its
+///    kernel's simulated finish, a wave is complete once min-over-slabs of
+///    consecutively finished kernels reaches it. The lost attempt's time
+///    up to the fault joins the cumulative offset; the recovery pause
+///    itself is free. Otherwise the run aborts at the fault instant;
+/// 3. finishes, if the boundary is the last row;
+/// 4. otherwise runs the shared rebalance evaluation
+///    ([`plan_rebalance`]) on each device's effective throughput over the
+///    segment (covered cells, net of pruned tiles, per busy simulated
+///    nanosecond). The hand-off is rewind-free: the next graph starts at
+///    the boundary wave over the new slabs, exactly as the threaded
+///    workers resume from the boundary checkpoint's full-width wave.
+///
+/// Rebalance and faults compose as they do in the threaded driver.
+fn simulate(
+    env: &DesEnv<'_>,
+    mut st: Progress,
+    faults: &FaultSchedule,
+    policy: Option<RecoveryPolicy>,
+) -> DesRun {
     let (m, n, config) = (env.m, env.n, env.config);
-    let memory = crate::memory::check_platform(m, slabs, env.platform, config);
     let rows = m.div_ceil(config.block_h);
-    let RebalanceMode::On {
-        threshold,
-        window_waves,
-    } = config.policy.rebalance
-    else {
-        unreachable!("run_rebalanced requires RebalanceMode::On");
-    };
-    // `validate()` guarantees a cadence exists when rebalance is on.
-    let interval = config
+    // Validation guarantees a cadence whenever recovery or rebalance is on.
+    let ck_rows = config
         .policy
         .checkpoint
         .rows_interval()
-        .expect("rebalance requires a checkpoint cadence");
-    let seg_rows = (interval * window_waves).clamp(1, rows);
-
-    let mut cur: Vec<Slab> = slabs.to_vec();
-    let mut start_row = 0usize;
-    let mut offset = SimTime::ZERO;
-    let mut rb = RebalanceReport::default();
+        .unwrap_or(usize::MAX);
+    let (seg_rows, threshold) = match config.policy.rebalance {
+        RebalanceMode::On {
+            threshold,
+            window_waves,
+        } if st.rebalance.is_some() => ((ck_rows * window_waves).min(rows), threshold),
+        _ => (rows, f64::INFINITY),
+    };
+    // Probed once, reused across every repartition of this run.
+    let mut calibrated: Option<Vec<f64>> = None;
 
     loop {
-        let stop_row = ((start_row / seg_rows + 1) * seg_rows).min(rows);
-        let graph = build_task_graph(env, &cur, Mode::FineGrain, start_row, stop_row);
-        if stop_row >= rows {
-            return finalize(
-                env,
-                &cur,
-                graph,
-                Mode::FineGrain,
-                offset,
-                None,
-                Some(rb),
-                Vec::new(),
-                memory,
-            );
+        let stop_row = ((st.start_row / seg_rows + 1) * seg_rows).min(rows);
+        let graph = build_task_graph(env, &st.slabs, st.start_row, stop_row);
+        let blacklist = st
+            .recovery
+            .as_ref()
+            .map_or(&[][..], |r| &r.failed_devices[..]);
+        if let Some(fault) =
+            earliest_fault(&graph, &st.slabs, faults, st.start_row, stop_row, blacklist)
+        {
+            match lose_device(env, &mut st, &graph, fault, policy, &mut calibrated) {
+                Ok(()) => continue,
+                Err(error) => return stopped_run(env, st, graph.schedule, Some(error)),
+            }
         }
+        if let Some(rec) = st.recovery.as_mut() {
+            rec.checkpoints_taken +=
+                deposited_waves(env, st.start_row, stop_row) * st.slabs.len() as u64;
+        }
+        if stop_row >= rows {
+            return finalize(env, st, graph);
+        }
+
         let makespan = graph.schedule.makespan();
+        let rb = st
+            .rebalance
+            .as_mut()
+            .expect("segment boundaries exist only when rebalancing");
         rb.evaluations += 1;
         // Effective throughput over the segment. The graph already priced
         // pruned tiles at zero kernel time, so covered cells must likewise
         // exclude them or a heavily-pruned slab would look faster than its
         // silicon.
-        let prune = PruneModel::new(env, &cur);
-        let rates: Vec<f64> = cur
+        let prune = PruneModel::new(env, &st.slabs);
+        let rates: Vec<f64> = st
+            .slabs
             .iter()
             .enumerate()
             .map(|(s, slab)| {
-                let cells: u64 = (start_row..stop_row)
+                let cells: u64 = (st.start_row..stop_row)
                     .map(|r| match &prune {
                         Some(pm) => pm.row(s, r).computed_cells,
                         None => row_height(m, config.block_h, r) as u64 * slab.width as u64,
@@ -777,255 +782,152 @@ fn run_rebalanced(env: &DesEnv<'_>, slabs: &[Slab]) -> DesRun {
                 cells as f64 / busy as f64
             })
             .collect();
-        let sum: f64 = rates.iter().sum();
-        let t_static = cur
-            .iter()
-            .zip(&rates)
-            .map(|(slab, r)| slab.width as f64 / r.max(f64::MIN_POSITIVE))
-            .fold(0.0f64, f64::max);
-        let t_balanced = n as f64 / sum.max(f64::MIN_POSITIVE);
-        let improvement = 1.0 - t_balanced / t_static.max(f64::MIN_POSITIVE);
-        if improvement >= threshold {
-            let devices: Vec<usize> = cur.iter().map(|s| s.device).collect();
-            let new_slabs = resplit_slabs(n, config.block_w, &devices, &rates);
-            // Widths sum to `n` on both sides, so half the total absolute
-            // delta is exactly the columns that changed hands.
-            let moved: usize = cur
-                .iter()
-                .zip(&new_slabs)
-                .map(|(a, b)| a.width.abs_diff(b.width))
-                .sum::<usize>()
-                / 2;
-            if moved > 0 {
-                rb.migrations += 1;
-                rb.moved_columns += moved as u64;
-                rb.applied_at_rows.push(stop_row);
-                if env.obs.is_enabled() {
-                    let at = (offset + makespan).as_nanos();
-                    env.obs.record(ObsSpan {
-                        kind: ObsKind::Rebalance,
-                        device: None,
-                        block_row: Some(stop_row as u32),
-                        start_ns: at,
-                        end_ns: at,
-                    });
-                }
-                cur = new_slabs;
+        if let Some((slabs, moved)) =
+            plan_rebalance(n, config.block_w, &st.slabs, &rates, threshold)
+        {
+            rb.migrations += 1;
+            rb.moved_columns += moved as u64;
+            rb.applied_at_rows.push(stop_row);
+            if env.obs.is_enabled() {
+                let at = (st.offset + makespan).as_nanos();
+                env.obs.record(ObsSpan {
+                    kind: ObsKind::Rebalance,
+                    device: None,
+                    block_row: Some(stop_row as u32),
+                    start_ns: at,
+                    end_ns: at,
+                });
             }
+            st.slabs = slabs;
         }
-        offset += makespan;
-        start_row = stop_row;
+        st.offset += makespan;
+        st.start_row = stop_row;
     }
 }
 
-/// The fault-injecting / recovering driver — the DES twin of
-/// [`crate::pipeline::run_pipeline_recover_live`]. Per attempt it solves
-/// the survivor schedule, finds the earliest scheduled fault that applies,
-/// and (with a policy) rewinds to the newest complete checkpoint wave:
-/// with every slab's checkpoint deposited at its kernel's simulated finish,
-/// a wave is complete once min-over-slabs of consecutively finished
-/// kernels reaches it. The lost attempt's simulated time up to the fault is
-/// folded into a cumulative offset; the recovery pause itself is free.
-fn run_with_faults(
+/// A device loss at `fault` = (device, block-row, instant in `graph`):
+/// record it, advance the clock to it, count the checkpoints the graph's
+/// slabs deposited before it, and — with a policy and budget left and a
+/// survivor to take the columns — rewind `st` to the newest complete wave
+/// over the survivors. Otherwise return the fault that aborts the run.
+fn lose_device(
     env: &DesEnv<'_>,
-    slabs: &[Slab],
-    faults: &FaultSchedule,
+    st: &mut Progress,
+    graph: &TaskGraph,
+    (device, block_row, t_fail): (usize, usize, SimTime),
     policy: Option<RecoveryPolicy>,
-) -> DesRun {
-    let (m, n, config) = (env.m, env.n, env.config);
-    let memory = crate::memory::check_platform(m, slabs, env.platform, config);
+    calibrated: &mut Option<Vec<f64>>,
+) -> Result<(), PipelineError> {
+    let (m, config) = (env.m, env.config);
     let rows = m.div_ceil(config.block_h);
-    let block_h = config.block_h;
-    let cells_at = |row: usize| ((row * block_h).min(m) as u128) * n as u128;
+    st.losses.push(DeviceLossEvent {
+        device,
+        block_row,
+        at: st.offset + t_fail,
+    });
+    st.offset += t_fail;
 
-    // Mirror of the threaded pipeline: recovery without a checkpoint
-    // cadence cannot make progress after a fault and is rejected up front.
-    let ck_rows = match config.policy.checkpoint.rows_interval() {
-        Some(iv) => iv,
-        None if policy.is_some() => {
-            let empty = TaskGraph {
-                schedule: Schedule::new(),
-                computes: Vec::new(),
-                kernel_tasks: Vec::new(),
-                transfer_tasks: Vec::new(),
-                start_row: 0,
-            };
-            return aborted_run(
-                env,
-                empty,
-                SimTime::ZERO,
-                Some(RecoveryReport::default()),
-                Vec::new(),
-                Some(PipelineError::InvalidConfig(
-                    "recovery requires a checkpoint cadence (policy.checkpoint must not be Disabled)"
-                        .to_string(),
-                )),
-                memory,
-            );
+    // Checkpoints this attempt deposited before the fault: one per slab per
+    // cadence wave its kernels retired by t_fail. Also the rewind frontier:
+    // a wave is complete once *every* slab has deposited it.
+    let mut frontier = rows;
+    let mut attempt_cells: u128 = 0;
+    for (slab, tasks) in st.slabs.iter().zip(&graph.kernel_tasks) {
+        let done = tasks
+            .iter()
+            .take_while(|&&k| graph.schedule.finish_of(k) <= t_fail)
+            .count();
+        for r in st.start_row..st.start_row + done {
+            attempt_cells += row_height(m, config.block_h, r) as u128 * slab.width as u128;
         }
-        None => usize::MAX,
+        if let Some(rec) = st.recovery.as_mut() {
+            rec.checkpoints_taken += deposited_waves(env, st.start_row, st.start_row + done);
+        }
+        frontier = frontier.min(st.start_row + done);
+    }
+
+    let error = PipelineError::DeviceFault { device, block_row };
+    // Without a policy: the fail-fast mirror of the threaded pipeline.
+    let (Some(policy), Some(rec)) = (policy, st.recovery.as_mut()) else {
+        return Err(error);
     };
-
-    let mut cur: Vec<Slab> = slabs.to_vec();
-    let mut blacklist: Vec<usize> = Vec::new();
-    let mut start_row = 0usize;
-    let mut offset = SimTime::ZERO;
-    let mut recovery = RecoveryReport::default();
-    let mut best_wave = 0usize;
-    let mut failures = 0usize;
-    let mut losses: Vec<DeviceLossEvent> = Vec::new();
-    // Probed once, reused across every repartition of this run.
-    let mut calibrated: Option<Vec<f64>> = None;
-
-    loop {
-        let graph = build_task_graph(env, &cur, Mode::FineGrain, start_row, rows);
-        let Some((device, block_row, t_fail)) =
-            earliest_fault(&graph, &cur, faults, start_row, rows, &blacklist)
-        else {
-            // No applicable fault left: this attempt completes. Every slab
-            // deposits every remaining wave of the matrix.
-            if policy.is_some() {
-                let waves = (start_row + 1..rows).filter(|w| w % ck_rows == 0).count() as u64;
-                recovery.checkpoints_taken += waves * cur.len() as u64;
-            }
-            let rec = policy.map(|_| recovery);
-            return finalize(
-                env,
-                &cur,
-                graph,
-                Mode::FineGrain,
-                offset,
-                rec,
-                None,
-                losses,
-                memory,
-            );
-        };
-
-        losses.push(DeviceLossEvent {
-            device,
-            block_row,
-            at: offset + t_fail,
+    if rec.recoveries as usize >= policy.max_device_failures {
+        return Err(error);
+    }
+    // The failed devices are the blacklist.
+    rec.failed_devices.push(device);
+    let survivors = survivor_slabs(
+        env.n,
+        config.block_w,
+        env.platform,
+        &config.policy.partition,
+        &rec.failed_devices,
+        calibrated,
+    );
+    if survivors.is_empty() {
+        return Err(error);
+    }
+    // Newest complete wave: the largest interval multiple the frontier
+    // covers (capped below `rows` — the threaded workers never deposit the
+    // final border), never older than where this graph started.
+    let ck_rows = recovery_interval(config).expect("validated before the run");
+    let mut wave = (frontier / ck_rows) * ck_rows;
+    if wave >= rows {
+        wave = ((rows - 1) / ck_rows) * ck_rows;
+    }
+    let new_start = wave.max(st.start_row);
+    let cells_at = |row: usize| ((row * config.block_h).min(m) as u128) * env.n as u128;
+    let preserved = cells_at(new_start).saturating_sub(cells_at(st.start_row));
+    rec.rewound_cells += attempt_cells.saturating_sub(preserved);
+    rec.recoveries += 1;
+    rec.resumed_from_rows.push(new_start);
+    if let Some(live) = env.live {
+        live.on_recovery();
+    }
+    if env.obs.is_enabled() {
+        let at = st.offset.as_nanos();
+        env.obs.record(ObsSpan {
+            kind: ObsKind::Recovery,
+            device: Some(device as u32),
+            block_row: Some(block_row as u32),
+            start_ns: at,
+            end_ns: at,
         });
+    }
+    st.slabs = survivors;
+    st.start_row = new_start;
+    Ok(())
+}
 
-        // Checkpoints this attempt deposited before the fault: one per
-        // slab per interval-multiple wave its kernels retired by t_fail.
-        // Also the rewind frontier: a wave is complete once *every* slab
-        // has deposited it.
-        let mut frontier = rows;
-        let mut attempt_cells: u128 = 0;
-        for (slab, tasks) in cur.iter().zip(&graph.kernel_tasks) {
-            let mut done = 0usize;
-            for (rel, &k) in tasks.iter().enumerate() {
-                if graph.schedule.finish_of(k) > t_fail {
-                    break;
-                }
-                done = rel + 1;
-                attempt_cells +=
-                    row_height(m, block_h, start_row + rel) as u128 * slab.width as u128;
-            }
-            if policy.is_some() {
-                recovery.checkpoints_taken += (start_row + 1..=start_row + done)
-                    .filter(|w| w % ck_rows == 0 && *w < rows)
-                    .count() as u64;
-            }
-            frontier = frontier.min(start_row + done);
+/// Checkpoint waves in `lo + 1..=hi` that every slab deposits, as the
+/// threaded workers do: cadence multiples below the last row, in
+/// fine-grain runs with a cadence.
+fn deposited_waves(env: &DesEnv<'_>, lo: usize, hi: usize) -> u64 {
+    let rows = env.m.div_ceil(env.config.block_h);
+    match (env.mode, env.config.policy.checkpoint.rows_interval()) {
+        (Mode::FineGrain, Some(iv)) => {
+            (lo + 1..=hi).filter(|w| w % iv == 0 && *w < rows).count() as u64
         }
-
-        let aborted = Some(PipelineError::DeviceFault { device, block_row });
-        let Some(p) = policy else {
-            // Fail-fast mirror of the threaded pipeline without `.recover`.
-            return aborted_run(env, graph, offset + t_fail, None, losses, aborted, memory);
-        };
-        failures += 1;
-        if failures > p.max_device_failures {
-            return aborted_run(
-                env,
-                graph,
-                offset + t_fail,
-                Some(recovery),
-                losses,
-                aborted,
-                memory,
-            );
-        }
-        blacklist.push(device);
-        let measured = match config.policy.partition {
-            PartitionPolicy::Proportional => Some(
-                calibrated
-                    .get_or_insert_with(|| crate::balance::default_weights(env.platform))
-                    .as_slice(),
-            ),
-            _ => None,
-        };
-        let survivors = make_slabs_excluding_with_weights(
-            n,
-            config.block_w,
-            env.platform,
-            &config.policy.partition,
-            &blacklist,
-            measured,
-        );
-        if survivors.is_empty() {
-            return aborted_run(
-                env,
-                graph,
-                offset + t_fail,
-                Some(recovery),
-                losses,
-                aborted,
-                memory,
-            );
-        }
-
-        // Newest complete wave: the largest interval multiple the frontier
-        // covers (capped below `rows` — the threaded workers never deposit
-        // the final border), never older than a previous attempt's wave.
-        let mut wave = (frontier / ck_rows) * ck_rows;
-        if wave >= rows {
-            wave = ((rows - 1) / ck_rows) * ck_rows;
-        }
-        best_wave = best_wave.max(wave);
-        let new_start = best_wave;
-        let preserved = cells_at(new_start).saturating_sub(cells_at(start_row));
-        recovery.rewound_cells += attempt_cells.saturating_sub(preserved);
-        recovery.recoveries += 1;
-        recovery.failed_devices.push(device);
-        recovery.resumed_from_rows.push(new_start);
-        if let Some(live) = env.live {
-            live.on_recovery();
-        }
-        if env.obs.is_enabled() {
-            let at = (offset + t_fail).as_nanos();
-            env.obs.record(ObsSpan {
-                kind: ObsKind::Recovery,
-                device: Some(device as u32),
-                block_row: Some(block_row as u32),
-                start_ns: at,
-                end_ns: at,
-            });
-        }
-        offset += t_fail;
-        cur = survivors;
-        start_row = new_start;
+        _ => 0,
     }
 }
 
-/// The earliest scheduled fault that applies to this attempt: its device
+/// The earliest scheduled fault that applies to this graph: its device
 /// still holds a slab (and is not blacklisted) and its block-row is inside
-/// the attempt's range. `RingPop`/`Compute` faults fire at the victim
-/// kernel's simulated start, `RingPush`/`Transfer` at its finish.
+/// the graph's `start_row..stop_row`. `RingPop`/`Compute` faults fire at
+/// the victim kernel's simulated start, `RingPush`/`Transfer` at its
+/// finish.
 fn earliest_fault(
     graph: &TaskGraph,
     slabs: &[Slab],
     faults: &FaultSchedule,
     start_row: usize,
-    rows: usize,
+    stop_row: usize,
     blacklist: &[usize],
 ) -> Option<(usize, usize, SimTime)> {
     let mut best: Option<(SimTime, usize, usize)> = None;
     for f in &faults.faults {
-        if blacklist.contains(&f.device) || f.block_row < start_row || f.block_row >= rows {
+        if blacklist.contains(&f.device) || f.block_row < start_row || f.block_row >= stop_row {
             continue;
         }
         let Some(s) = slabs.iter().position(|sl| sl.device == f.device) else {
@@ -1043,57 +945,52 @@ fn earliest_fault(
     best.map(|(t, d, r)| (d, r, t))
 }
 
-/// A run that did not complete: simulated time stops at the fault instant;
-/// no per-device reporting (the threaded mirror returns `Err` here).
-#[allow(clippy::too_many_arguments)]
-fn aborted_run(
+/// A run with no final schedule to report: an empty matrix (complete, no
+/// work) or an aborted run (`aborted` is `Some`: an invalid config, a fault
+/// without recovery, an exhausted budget or no survivor left), whose
+/// simulated time stops at the fault instant. No per-device reporting —
+/// the threaded mirror reports no work or returns `Err` here.
+fn stopped_run(
     env: &DesEnv<'_>,
-    graph: TaskGraph,
-    at: SimTime,
-    recovery: Option<RecoveryReport>,
-    losses: Vec<DeviceLossEvent>,
+    st: Progress,
+    schedule: Schedule,
     aborted: Option<PipelineError>,
-    memory: Result<Vec<crate::memory::DeviceMemoryPlan>, crate::memory::MemoryError>,
 ) -> DesRun {
+    let complete = aborted.is_none();
     DesRun {
         report: RunReport {
             best: megasw_sw::BestCell::ZERO,
             total_cells: env.m as u128 * env.n as u128,
             wall_time: None,
             gcups_wall: None,
-            sim_time: Some(at),
-            gcups_sim: None,
+            sim_time: Some(st.offset),
+            gcups_sim: complete.then_some(0.0),
             devices: Vec::new(),
-            pruning: None,
-            recovery,
-            rebalance: None,
+            pruning: (complete && env.prune_mode.is_enabled()).then_some(PruningReport {
+                mode: env.prune_mode,
+                tiles_pruned: 0,
+                tiles_total: 0,
+                cells_skipped: 0,
+                watermark_lag: 0,
+            }),
+            recovery: st.recovery,
+            rebalance: st.rebalance,
             kernel: megasw_sw::KernelSelection::modeled(env.config.policy.dispatch),
             simd_rescues: 0,
         },
-        schedule: graph.schedule,
-        memory,
+        schedule,
+        memory: st.memory,
         stalls: Vec::new(),
-        losses,
+        losses: st.losses,
         aborted,
     }
 }
 
-/// Turn the final attempt's solved graph into the [`DesRun`]: live replay,
-/// span export, stall breakdowns and the report. `offset` is the simulated
-/// time consumed by earlier (lost) attempts; live/span timelines cover the
-/// surviving attempt only, shifted by that offset.
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    env: &DesEnv<'_>,
-    slabs: &[Slab],
-    graph: TaskGraph,
-    mode: Mode,
-    offset: SimTime,
-    recovery: Option<RecoveryReport>,
-    rebalance: Option<RebalanceReport>,
-    losses: Vec<DeviceLossEvent>,
-    memory: Result<Vec<crate::memory::DeviceMemoryPlan>, crate::memory::MemoryError>,
-) -> DesRun {
+/// Turn the final solved graph into the [`DesRun`]: live replay,
+/// span export, stall breakdowns and the report. `st.offset` is the
+/// simulated time consumed by earlier segments and lost attempts;
+/// live/span timelines cover the final graph only, shifted by that offset.
+fn finalize(env: &DesEnv<'_>, st: Progress, graph: TaskGraph) -> DesRun {
     let (m, n, platform, config) = (env.m, env.n, env.platform, env.config);
     let TaskGraph {
         schedule,
@@ -1104,10 +1001,11 @@ fn finalize(
     } = graph;
     let total_cells = m as u128 * n as u128;
     let rows = m.div_ceil(config.block_h);
+    let slabs = &st.slabs[..];
     let makespan = schedule.makespan();
-    let sim_time = offset + makespan;
+    let sim_time = st.offset + makespan;
     let secs = sim_time.as_secs_f64();
-    let off_ns = offset.as_nanos();
+    let off_ns = st.offset.as_nanos();
     let prune_model = PruneModel::new(env, slabs);
     let pruning = prune_model.as_ref().map(|pm| pm.report());
 
@@ -1201,7 +1099,8 @@ fn finalize(
             live.on_phase_ns(s_idx, StallPhase::WaitInput, bd.input_stalls.as_nanos());
         }
     }
-    // Rows the final attempt actually covered (all of them, fault-free).
+    // Rows the final graph actually covered (all of them, unsegmented and
+    // fault-free).
     let height_covered = m - (start_row * config.block_h).min(m);
     let devices = slabs
         .iter()
@@ -1209,7 +1108,7 @@ fn finalize(
         .map(|(s, slab)| {
             let busy = schedule.busy_of(computes[s]);
             let sent = if s + 1 < slabs.len() {
-                match mode {
+                match env.mode {
                     Mode::FineGrain => (start_row..rows)
                         .map(|r| border_bytes(row_height(m, config.block_h, r)))
                         .sum(),
@@ -1223,15 +1122,12 @@ fn finalize(
             // unmeasured remainder (startup + drain + lost attempts'
             // offset) lands in `other` — the same sum-to-makespan identity
             // as the threaded backend, over `sim_time` as the makespan.
-            let attribution = StallAttribution::from_measured(
-                sim_time.as_nanos(),
-                busy.as_nanos(),
-                stalls[s].input_stalls.as_nanos(),
-                0,
-                0,
-                0,
-                0,
-            );
+            let clocks = PhaseClocks {
+                busy_ns: busy.as_nanos(),
+                wait_input_ns: stalls[s].input_stalls.as_nanos(),
+                ..PhaseClocks::default()
+            };
+            let attribution = StallAttribution::from_measured(sim_time.as_nanos(), &clocks);
             DeviceReport {
                 device: slab.device,
                 name: platform.devices[slab.device].name.clone(),
@@ -1258,17 +1154,17 @@ fn finalize(
         gcups_sim: Some(RunReport::gcups(total_cells, secs)),
         devices,
         pruning,
-        recovery,
-        rebalance,
+        recovery: st.recovery,
+        rebalance: st.rebalance,
         kernel: megasw_sw::KernelSelection::modeled(config.policy.dispatch),
         simd_rescues: 0,
     };
     DesRun {
         report,
         schedule,
-        memory,
+        memory: st.memory,
         stalls,
-        losses,
+        losses: st.losses,
         aborted: None,
     }
 }
@@ -1626,13 +1522,14 @@ mod tests {
 
     #[test]
     fn des_fault_without_recovery_aborts_at_the_fault_instant() {
-        use crate::pipeline::FaultPlan;
+        use crate::pipeline::ScheduledFault;
         let p = Platform::env2();
         let run = DesSim::new(MBP, MBP, &p)
             .config(cfg())
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 100,
+                block_row: 100,
+                phase: FaultPhase::Compute,
             })
             .run();
         assert_eq!(
@@ -1653,14 +1550,15 @@ mod tests {
 
     #[test]
     fn des_recovery_completes_with_accounting_and_slower_clock() {
-        use crate::pipeline::FaultPlan;
+        use crate::pipeline::ScheduledFault;
         let p = Platform::env2();
         let clean = run_des(MBP, MBP, &p, &cfg());
         let run = DesSim::new(MBP, MBP, &p)
             .config(cfg())
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 100,
+                block_row: 100,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy::default())
             .run();
@@ -1729,17 +1627,34 @@ mod tests {
     #[test]
     fn des_recovery_rejects_disabled_checkpoint_cadence() {
         use crate::config::CheckpointCadence;
-        use crate::pipeline::FaultPlan;
+        use crate::pipeline::ScheduledFault;
         let p = Platform::env2();
         let run = DesSim::new(MBP, MBP, &p)
             .config(cfg().with_checkpoint(CheckpointCadence::Disabled))
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 100,
+                block_row: 100,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy::default())
             .run();
         assert!(matches!(run.aborted, Some(PipelineError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn des_returns_what_validate_rejects_as_an_aborted_run() {
+        use crate::config::CheckpointCadence;
+        let p = Platform::env2();
+        let no_cadence = cfg()
+            .with_checkpoint(CheckpointCadence::Disabled)
+            .with_rebalance(RebalanceMode::on());
+        for config in [no_cadence, cfg().with_block(0)] {
+            let err = config.validate().unwrap_err();
+            let run = DesSim::new(MBP, MBP, &p).config(config).run();
+            assert_eq!(run.aborted, Some(PipelineError::InvalidConfig(err)));
+            assert!(run.report.devices.is_empty());
+            assert_eq!(run.report.sim_time, Some(SimTime::ZERO));
+        }
     }
 
     #[test]
@@ -1765,6 +1680,20 @@ mod tests {
         // and the effective GCUPS (over all m·n cells) rises.
         assert!(pruned.report.sim_time.unwrap() < clean.report.sim_time.unwrap());
         assert!(pruned.report.gcups_sim.unwrap() > clean.report.gcups_sim.unwrap());
+        // Rebalancing it: a slab whose whole segment was pruned measures a
+        // zero rate, which the controller must take without panicking.
+        let rebalanced =
+            DesSim::new(MBP, MBP, &p)
+                .config(cfg().with_pruning(PruneMode::Distributed).with_rebalance(
+                    RebalanceMode::On {
+                        threshold: 0.0,
+                        window_waves: RebalanceMode::DEFAULT_WINDOW_WAVES,
+                    },
+                ))
+                .identity(0.99)
+                .run();
+        assert!(rebalanced.aborted.is_none());
+        assert!(rebalanced.report.rebalance.unwrap().migrations > 0);
     }
 
     #[test]
@@ -1813,14 +1742,15 @@ mod tests {
 
     #[test]
     fn des_pruning_composes_with_recovery() {
-        use crate::pipeline::FaultPlan;
+        use crate::pipeline::ScheduledFault;
         let p = Platform::env2();
         let run = DesSim::new(MBP, MBP, &p)
             .config(cfg().with_pruning(PruneMode::Distributed))
             .identity(0.99)
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 100,
+                block_row: 100,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy::default())
             .run();

@@ -13,9 +13,7 @@
 //!   its own config/fault overrides. A future `SeedFilterExtend` variant
 //!   (seed-and-extend screening, ROADMAP item 3) is reserved here; it
 //!   will slot in without touching the queue or the HTTP surface.
-//! * [`JobOutcome`] — how one pair fared, regardless of route. This is
-//!   the former `batch::PairOutcome`, renamed and promoted (a deprecated
-//!   alias remains in `batch` for one release).
+//! * [`JobOutcome`] — how one pair fared, regardless of route.
 //! * [`JobReport`] — the common aggregate: outcomes, total cells, wall
 //!   time, throughput, recovery accounting and latency percentiles. A
 //!   single-pair report is simply a one-outcome aggregate, so
@@ -223,7 +221,7 @@ impl JobSpec {
 }
 
 /// How one pair fared, whatever route executed it. For batch jobs this is
-/// the per-pair record (formerly `batch::PairOutcome`); a single-pair job
+/// the per-pair record; a single-pair job
 /// reports exactly one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobOutcome {

@@ -57,8 +57,6 @@ pub mod service;
 pub mod stages;
 pub mod stats;
 
-#[allow(deprecated)]
-pub use batch::PairOutcome;
 pub use batch::{
     BatchConfig, BatchFault, BatchJob, BatchPlan, BatchReport, BatchRun, BatchSim, BatchSimReport,
     BatchSpec,
@@ -83,8 +81,6 @@ pub use stats::{
 
 /// The types most callers need: builders, reports, errors, observability.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::batch::PairOutcome;
     pub use crate::batch::{
         jobs_from_fasta_pair, jobs_from_manifest, BatchConfig, BatchFault, BatchJob, BatchPlan,
         BatchReport, BatchRun, BatchSim, BatchSimReport, BatchSpec,
@@ -98,7 +94,7 @@ pub mod prelude {
     pub use crate::error::MegaswError;
     pub use crate::job::{JobKind, JobOutcome, JobReport, JobSpec};
     pub use crate::pipeline::{
-        FaultPhase, FaultPlan, FaultSchedule, PipelineRun, RunControl, ScheduledFault, Semantics,
+        FaultPhase, FaultSchedule, PipelineRun, RunControl, ScheduledFault, Semantics,
     };
     pub use crate::service::{AlignService, JobState, JobStatus, ServiceConfig};
     pub use crate::stats::{

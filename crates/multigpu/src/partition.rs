@@ -198,11 +198,7 @@ pub fn make_slabs_excluding(
     policy: &PartitionPolicy,
     exclude: &[usize],
 ) -> Vec<Slab> {
-    let measured = match policy {
-        PartitionPolicy::Proportional => Some(crate::balance::default_weights(platform)),
-        _ => None,
-    };
-    make_slabs_excluding_with_weights(n, block_w, platform, policy, exclude, measured.as_deref())
+    survivor_slabs(n, block_w, platform, policy, exclude, &mut None)
 }
 
 /// [`make_slabs_excluding`] with the calibrated weights supplied by the
@@ -250,6 +246,29 @@ pub fn make_slabs_excluding_with_weights(
     };
 
     resplit_slabs(n, block_w, &survivors, &weights)
+}
+
+/// The survivor repartition after a device loss, shared by both backends:
+/// [`make_slabs_excluding_with_weights`] over the `blacklist`, with the
+/// calibrated `Proportional` weights probed on first use and cached in
+/// `calibrated` for every later repartition of the same run.
+pub(crate) fn survivor_slabs(
+    n: usize,
+    block_w: usize,
+    platform: &Platform,
+    policy: &PartitionPolicy,
+    blacklist: &[usize],
+    calibrated: &mut Option<Vec<f64>>,
+) -> Vec<Slab> {
+    let measured = match policy {
+        PartitionPolicy::Proportional => Some(
+            calibrated
+                .get_or_insert_with(|| crate::balance::default_weights(platform))
+                .as_slice(),
+        ),
+        _ => None,
+    };
+    make_slabs_excluding_with_weights(n, block_w, platform, policy, blacklist, measured)
 }
 
 #[cfg(test)]

@@ -68,14 +68,15 @@
 //! without perturbing the workers. Live device indices follow **chain
 //! position** (slab order), matching `RunReport::devices`.
 
-use crate::checkpoint::{Checkpoint, CheckpointStore, RecoveryPolicy};
+use crate::balance;
+use crate::checkpoint::{recovery_interval, Checkpoint, CheckpointStore, RecoveryPolicy};
 use crate::circbuf::{BorderMsg, CircularBuffer, RingError, RingStats};
 use crate::config::{PruneMode, RebalanceMode, RunConfig};
 use crate::error::MegaswError;
-use crate::partition::{make_slabs, make_slabs_excluding_with_weights, resplit_slabs, Slab};
+use crate::partition::{make_slabs, survivor_slabs, Slab};
 use crate::stats::{
-    DeviceReport, PruningReport, RebalanceReport, RecoveryReport, RunReport, StallAttribution,
-    StallBreakdown,
+    DeviceReport, PhaseClocks, PruningReport, RebalanceReport, RecoveryReport, RunReport,
+    StallAttribution, StallBreakdown,
 };
 use megasw_gpusim::Platform;
 use megasw_obs::{
@@ -240,18 +241,6 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// Deterministic fault injection for resilience tests: the given device
-/// fails just before computing the given block-row.
-///
-/// This is the original single-fault form, kept for source compatibility;
-/// it converts into a one-entry [`FaultSchedule`] with
-/// [`FaultPhase::Compute`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPlan {
-    pub device: usize,
-    pub fail_at_block_row: usize,
-}
-
 /// Which point of a worker's per-block-row loop a fault fires at.
 ///
 /// The four phases bracket the row's dataflow: waiting for the left
@@ -264,8 +253,7 @@ pub struct FaultPlan {
 pub enum FaultPhase {
     /// While waiting on the incoming border ring, before the pop.
     RingPop,
-    /// Just before launching the block-row's kernels (the [`FaultPlan`]
-    /// semantics).
+    /// Just before launching the block-row's kernels.
     #[default]
     Compute,
     /// Just before pushing the outgoing border.
@@ -377,18 +365,6 @@ impl FaultSchedule {
     }
 }
 
-impl From<FaultPlan> for FaultSchedule {
-    fn from(plan: FaultPlan) -> FaultSchedule {
-        FaultSchedule {
-            faults: vec![ScheduledFault {
-                device: plan.device,
-                block_row: plan.fail_at_block_row,
-                phase: FaultPhase::Compute,
-            }],
-        }
-    }
-}
-
 impl From<ScheduledFault> for FaultSchedule {
     fn from(fault: ScheduledFault) -> FaultSchedule {
         FaultSchedule {
@@ -487,8 +463,8 @@ impl<'a> PipelineRun<'a> {
     }
 
     /// Inject a deterministic fault schedule (resilience testing). Accepts
-    /// a single [`FaultPlan`] (legacy), a [`ScheduledFault`], or a whole
-    /// [`FaultSchedule`] / `Vec<ScheduledFault>`.
+    /// a single [`ScheduledFault`], or a whole [`FaultSchedule`] /
+    /// `Vec<ScheduledFault>`.
     pub fn faults(mut self, faults: impl Into<FaultSchedule>) -> Self {
         self.faults = faults.into();
         self
@@ -558,43 +534,301 @@ impl<'a> PipelineRun<'a> {
 
     /// Execute the run.
     pub fn run(self) -> Result<RunReport, MegaswError> {
-        let flight = self.flight.clone();
-        let dump = self.flight_dump.clone();
-        let result = match self.recovery {
-            None => run_pipeline_live(
-                self.a,
-                self.b,
-                self.platform,
-                &self.config,
-                &self.faults,
-                self.semantics,
-                &self.observer,
-                self.live.as_ref(),
-                self.flight.as_ref(),
-                self.control.as_deref(),
-            )
-            .map_err(MegaswError::from),
-            Some(policy) => run_pipeline_segmented(
-                self.a,
-                self.b,
-                self.platform,
-                &self.config,
-                &self.faults,
-                Some(policy),
-                self.semantics,
-                &self.observer,
-                self.live.as_ref(),
-                self.flight.as_ref(),
-                self.control.as_deref(),
-            )
-            .map_err(MegaswError::from),
-        };
-        if let (Some(fr), Some(path)) = (&flight, &dump) {
+        let result = self.execute().map_err(MegaswError::from);
+        if let (Some(fr), Some(path)) = (&self.flight, &self.flight_dump) {
             // Best-effort: a failing dump must not mask the run's result.
             let _ = fr.dump_to(path);
         }
         result
     }
+
+    /// The threaded backend's one driver: a loop over checkpoint-bounded
+    /// attempts. A plain run — no recovery policy, rebalance off — is a
+    /// single attempt spanning the whole matrix with no checkpoint store.
+    ///
+    /// Each attempt executes the pipeline from `start_row` up to `stop_row`
+    /// over the current slab set; when a recovery policy is attached or
+    /// rebalance is on, the workers deposit border checkpoints on the
+    /// cadence of `config.policy.checkpoint`.
+    ///
+    /// **Recovery** (when a policy is attached): on a device fault the failed
+    /// device is blacklisted, its columns are repartitioned across the
+    /// survivors ([`survivor_slabs`]: measured throughput for
+    /// `Proportional`, calibrated once per run and cached), the run rewinds
+    /// to the newest complete checkpoint wave and resumes from its
+    /// reassembled border. Gives up — surfacing the original fault — when
+    /// the failure budget is exhausted or no survivor remains. Without a
+    /// policy a fault fails the run fast.
+    ///
+    /// **Rebalance** (when `config.policy.rebalance` is on): the run is cut
+    /// into segments of `window_waves × checkpoint-interval` block-rows;
+    /// every segment boundary lands on the checkpoint cadence, so the
+    /// boundary wave is complete the moment the workers join. At each
+    /// boundary the shared controller ([`balance::plan_rebalance`])
+    /// weighs each device's *effective* throughput over the segment
+    /// (covered cells — pruned tiles count at their skip cost — per busy
+    /// nanosecond) and, when the predicted makespan improvement clears the
+    /// hysteresis threshold, migrates block-columns by resuming every
+    /// worker from the boundary checkpoint's full-width H/F border wave
+    /// under new slab geometry. No block-row is recomputed, and because the
+    /// checkpointed lanes are exact, scores stay **bit-identical** to a
+    /// static split.
+    ///
+    /// Both mechanisms compose: a fault mid-segment takes the recovery path,
+    /// and later boundaries keep rebalancing the survivors.
+    pub(crate) fn execute(&self) -> Result<RunReport, PipelineError> {
+        let config = &self.config;
+        config.validate().map_err(PipelineError::InvalidConfig)?;
+        let kernel =
+            kernel::select(config.policy.dispatch).map_err(PipelineError::InvalidConfig)?;
+        let rebalance = config.policy.rebalance;
+        // Checkpoints exist only to recover from or to hand off at.
+        let interval = if self.recovery.is_some() || rebalance.is_enabled() {
+            Some(recovery_interval(config).map_err(PipelineError::InvalidConfig)?)
+        } else {
+            None
+        };
+        let (m, n) = (self.a.len(), self.b.len());
+        let rows = m.div_ceil(config.block_h);
+        let ctx = RunCtx {
+            a: self.a,
+            b: self.b,
+            platform: self.platform,
+            config,
+            kernel,
+            faults: &self.faults,
+            semantics: self.semantics,
+            prune_mode: effective_prune_mode(config, self.semantics),
+            rows,
+            obs: &self.observer,
+            live: self.live.as_ref(),
+            flight: self.flight.as_ref(),
+            control: self.control.as_deref(),
+        };
+        let mut st = Progress {
+            slabs: make_slabs(n, config.block_w, self.platform, &config.policy.partition),
+            start_row: 0,
+            resume: None,
+            recovery: self.recovery.map(|_| RecoveryReport::default()),
+            rebalance: rebalance.is_enabled().then(RebalanceReport::default),
+        };
+        if m == 0 || st.slabs.is_empty() {
+            return Ok(empty_report(&ctx, st));
+        }
+
+        // Segment length in block-rows: a multiple of the checkpoint
+        // interval, so every boundary wave is deposited by the regular
+        // cadence check. Without rebalance one segment spans the matrix.
+        let (seg_rows, threshold) = match (rebalance, interval) {
+            (
+                RebalanceMode::On {
+                    threshold,
+                    window_waves,
+                },
+                Some(iv),
+            ) => ((iv * window_waves).min(rows), threshold),
+            _ => (rows, f64::INFINITY),
+        };
+        let store = interval.map(|_| CheckpointStore::new(n));
+        // Calibrated per-device weights for `Proportional` repartitioning:
+        // probed at most once per run, then reused by every recovery.
+        let mut calibrated: Option<Vec<f64>> = None;
+        // Each device's partial over the segments completed so far, by
+        // platform index. A failed attempt's clocks are never carried: lost
+        // work lands in `other`.
+        let mut carried: Vec<Option<DevicePartial>> = Vec::new();
+        let run_start_ns = ctx.obs.now_ns();
+
+        loop {
+            // Workers poll the control at every block-row; checking here too
+            // skips spawning an attempt that would stop at its first row.
+            if cancelled(ctx.control) {
+                return Err(PipelineError::Cancelled);
+            }
+            // Smallest segment boundary strictly past `start_row` (a resumed
+            // attempt may start mid-segment after a fault rewind), clamped to
+            // the matrix.
+            let stop_row = ((st.start_row / seg_rows + 1) * seg_rows).min(rows);
+            let ckpt = store.as_ref().zip(interval).map(|(store, interval)| {
+                let geoms: Vec<(usize, usize)> = st.slabs.iter().map(|s| (s.j0, s.width)).collect();
+                let base_best = st.resume.as_ref().map_or(BestCell::ZERO, |c| c.best);
+                CkptCtx {
+                    store,
+                    attempt: store.begin_attempt(st.start_row, base_best, &geoms),
+                    interval,
+                }
+            });
+            let outcome = run_attempt(
+                &ctx,
+                &Segment {
+                    slabs: &st.slabs,
+                    start_row: st.start_row,
+                    stop_row,
+                    resume: st.resume.as_ref(),
+                    ckpt,
+                },
+            );
+            let mut partials = match collect_attempt(outcome.results) {
+                Ok(partials) => partials,
+                Err(failure) => {
+                    self.handle_failure(&ctx, &mut st, store.as_ref(), &mut calibrated, failure)?;
+                    continue;
+                }
+            };
+            // This segment's own effective throughput per device, read
+            // before the earlier segments' clocks are folded in.
+            let rates: Vec<f64> = if stop_row < rows {
+                partials
+                    .iter()
+                    .map(|p| p.cells as f64 / p.clocks.busy_ns.max(1) as f64)
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            for (slab, p) in st.slabs.iter().zip(partials.iter_mut()) {
+                if let Some(earlier) = carried.get_mut(slab.device).and_then(Option::take) {
+                    p.carry(&earlier);
+                }
+            }
+            if stop_row >= rows {
+                if let (Some(rec), Some(store)) = (st.recovery.as_mut(), &store) {
+                    rec.checkpoints_taken = store.checkpoints_taken();
+                }
+                let wall_ns = ctx.obs.now_ns().saturating_sub(run_start_ns);
+                return Ok(assemble_report(
+                    &ctx,
+                    st,
+                    &partials,
+                    &outcome.ring_stats,
+                    wall_ns,
+                    run_start_ns,
+                ));
+            }
+            carried.resize_with(self.platform.len(), || None);
+            for (slab, p) in st.slabs.iter().zip(partials) {
+                carried[slab.device] = Some(p);
+            }
+            rebalance_at_boundary(&ctx, &mut st, stop_row, &rates, threshold);
+            // Every worker deposited wave `stop_row` (a cadence multiple
+            // below `rows`) and then joined, so the newest complete
+            // checkpoint *is* the boundary — resuming from it recomputes
+            // nothing.
+            let ck = store
+                .as_ref()
+                .and_then(CheckpointStore::newest_complete)
+                .expect("completed segment deposited its boundary wave");
+            debug_assert_eq!(ck.wave, stop_row, "segment hand-off must be rewind-free");
+            st.start_row = stop_row;
+            st.resume = Some(ck);
+        }
+    }
+
+    /// Handle a failed attempt: recover from a device fault when a policy
+    /// is attached and its budget allows — blacklist the device, split its
+    /// columns across the survivors, rewind `st` to the newest complete
+    /// checkpoint wave — or surface the attempt's root-cause error.
+    fn handle_failure(
+        &self,
+        ctx: &RunCtx<'_>,
+        st: &mut Progress,
+        store: Option<&CheckpointStore>,
+        calibrated: &mut Option<Vec<f64>>,
+        failure: Failure,
+    ) -> Result<(), PipelineError> {
+        let (Some(policy), Some(rec), Some(store)) = (self.recovery, st.recovery.as_mut(), store)
+        else {
+            return Err(failure.error);
+        };
+        let PipelineError::DeviceFault { device, block_row } = failure.error else {
+            return Err(failure.error);
+        };
+        if rec.recoveries as usize >= policy.max_device_failures {
+            return Err(failure.error);
+        }
+        let rec_start_ns = ctx.obs.now_ns();
+        // The failed devices are the blacklist.
+        rec.failed_devices.push(device);
+        let survivors = survivor_slabs(
+            ctx.b.len(),
+            ctx.config.block_w,
+            ctx.platform,
+            &ctx.config.policy.partition,
+            &rec.failed_devices,
+            calibrated,
+        );
+        if survivors.is_empty() {
+            return Err(failure.error);
+        }
+        let ck = store.newest_complete();
+        let new_start = ck.as_ref().map_or(0, |c| c.wave);
+        // Work lost to the rewind: everything this attempt computed beyond
+        // what the checkpoint wave preserves.
+        let preserved = ctx
+            .cells_at(new_start)
+            .saturating_sub(ctx.cells_at(st.start_row));
+        rec.rewound_cells += failure.cells.saturating_sub(preserved);
+        rec.recoveries += 1;
+        rec.resumed_from_rows.push(new_start);
+        if let Some(live) = ctx.live {
+            live.on_recovery();
+        }
+        ctx.obs.record_since(
+            ObsKind::Recovery,
+            Some(device as u32),
+            Some(block_row as u32),
+            rec_start_ns,
+        );
+        st.slabs = survivors;
+        st.start_row = new_start;
+        st.resume = ck;
+        Ok(())
+    }
+}
+
+/// The rebalance evaluation at a segment boundary: count it, and apply the
+/// shared controller's migration (if any) to `st.slabs`, logging a flight
+/// event per lane with its new width.
+fn rebalance_at_boundary(
+    ctx: &RunCtx<'_>,
+    st: &mut Progress,
+    stop_row: usize,
+    rates: &[f64],
+    threshold: f64,
+) {
+    let report = st
+        .rebalance
+        .as_mut()
+        .expect("segment boundaries exist only when rebalancing");
+    let rb_start_ns = ctx.obs.now_ns();
+    report.evaluations += 1;
+    let n = ctx.b.len();
+    if let Some((slabs, moved)) =
+        balance::plan_rebalance(n, ctx.config.block_w, &st.slabs, rates, threshold)
+    {
+        report.migrations += 1;
+        report.moved_columns += moved as u64;
+        report.applied_at_rows.push(stop_row);
+        st.slabs = slabs;
+        // Workers have joined, so the coordinator is the sole writer on
+        // every flight lane here.
+        if let Some(fr) = ctx.flight {
+            for (s_idx, slab) in st.slabs.iter().enumerate() {
+                fr.record(
+                    s_idx,
+                    FlightEvent {
+                        kind: FlightKind::Rebalance,
+                        device: slab.device as u32,
+                        row: stop_row as u64,
+                        t_ns: ctx.obs.now_ns(),
+                        dur_ns: 0,
+                        aux: slab.width as u64,
+                    },
+                );
+            }
+        }
+    }
+    ctx.obs
+        .record_since(ObsKind::Rebalance, None, Some(stop_row as u32), rb_start_ns);
 }
 
 struct DevicePartial {
@@ -613,13 +847,8 @@ struct DevicePartial {
     /// Kernel-activity envelope in recorder time, for stall accounting.
     first_kernel_start_ns: u64,
     last_kernel_end_ns: u64,
-    busy_ns: u64,
-    /// Fine-grained phase clocks for [`StallAttribution`].
-    wait_input_ns: u64,
-    wait_output_ns: u64,
-    checkpoint_ns: u64,
-    prune_skip_ns: u64,
-    simd_rescue_ns: u64,
+    /// Phase clocks for [`StallAttribution`].
+    clocks: PhaseClocks,
     /// SIMD→scalar rescues this worker's thread triggered.
     simd_rescues: u64,
 }
@@ -631,105 +860,11 @@ impl DevicePartial {
     /// and pruning counts stay per-attempt: the coverage identity in
     /// `assemble_report` counts earlier segments through the checkpoint.
     fn carry(&mut self, earlier: &DevicePartial) {
-        if earlier.busy_ns > 0 {
+        if earlier.clocks.busy_ns > 0 {
             self.first_kernel_start_ns = earlier.first_kernel_start_ns;
         }
-        self.busy_ns += earlier.busy_ns;
-        self.wait_input_ns += earlier.wait_input_ns;
-        self.wait_output_ns += earlier.wait_output_ns;
-        self.checkpoint_ns += earlier.checkpoint_ns;
-        self.prune_skip_ns += earlier.prune_skip_ns;
-        self.simd_rescue_ns += earlier.simd_rescue_ns;
+        self.clocks += earlier.clocks;
     }
-}
-
-/// The engine behind the builder, with optional in-flight telemetry. Live
-/// device indices are chain positions (slab
-/// order); indices past the handle's capacity are silently dropped by the
-/// handle itself, so a handle sized for the platform also works when slabs
-/// are dropped on small matrices.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pipeline_live(
-    a: &[u8],
-    b: &[u8],
-    platform: &Platform,
-    config: &RunConfig,
-    faults: &FaultSchedule,
-    semantics: Semantics,
-    obs: &Recorder,
-    live: Option<&Arc<LiveTelemetry>>,
-    flight: Option<&Arc<FlightRecorder>>,
-    control: Option<&RunControl>,
-) -> Result<RunReport, PipelineError> {
-    config.validate().map_err(PipelineError::InvalidConfig)?;
-    // Rebalance-enabled runs execute in checkpoint-bounded segments; the
-    // segmented driver owns that loop (with no recovery policy attached a
-    // fault still fails fast). This keeps every entry point — the builder
-    // and the stage-1/stage-2 drivers in `stages` — on one code path.
-    if config.policy.rebalance.is_enabled() {
-        return run_pipeline_segmented(
-            a, b, platform, config, faults, None, semantics, obs, live, flight, control,
-        );
-    }
-    if cancelled(control) {
-        return Err(PipelineError::Cancelled);
-    }
-    let kernel = kernel::select(config.policy.dispatch).map_err(PipelineError::InvalidConfig)?;
-    let selection = KernelSelection {
-        dispatch: config.policy.dispatch,
-        resolved: kernel.id(),
-    };
-    let m = a.len();
-    let n = b.len();
-    let slabs = make_slabs(n, config.block_w, platform, &config.policy.partition);
-    let prune_mode = effective_prune_mode(config, semantics);
-
-    if m == 0 || slabs.is_empty() {
-        return Ok(empty_report(
-            m, n, platform, &slabs, prune_mode, None, None, selection,
-        ));
-    }
-
-    let rows = m.div_ceil(config.block_h);
-    // All stall accounting is relative to this instant, on the recorder's
-    // clock, so spans and the stall envelope share one timebase.
-    let run_start_ns = obs.now_ns();
-    let outcome = run_attempt(AttemptParams {
-        a,
-        b,
-        slabs: &slabs,
-        rows,
-        start_row: 0,
-        stop_row: rows,
-        config,
-        kernel,
-        faults,
-        semantics,
-        obs,
-        live,
-        flight,
-        resume: None,
-        ckpt: None,
-        control,
-    });
-    let wall_ns = obs.now_ns().saturating_sub(run_start_ns);
-    let partials = collect_attempt(outcome.results).map_err(|f| f.error)?;
-    Ok(assemble_report(
-        m,
-        n,
-        platform,
-        &slabs,
-        &partials,
-        &outcome.ring_stats,
-        wall_ns,
-        run_start_ns,
-        BestCell::ZERO,
-        0,
-        prune_mode,
-        None,
-        None,
-        selection,
-    ))
 }
 
 /// The pruning mode a run actually executes under: the configured mode for
@@ -742,340 +877,67 @@ fn effective_prune_mode(config: &RunConfig, semantics: Semantics) -> PruneMode {
     }
 }
 
-/// The segmented driver behind [`PipelineRun::recover`] and
-/// [`RebalanceMode::On`] — fault recovery and live rebalancing are the same
-/// loop over checkpoint-bounded attempts.
-///
-/// Each attempt executes the pipeline from `start_row` up to `stop_row`
-/// over the current slab set while the workers deposit border checkpoints
-/// on the cadence of `config.policy.checkpoint`.
-///
-/// **Recovery** (when a policy is attached): on a device fault the failed
-/// device is blacklisted, its columns are repartitioned across the
-/// survivors ([`make_slabs_excluding_with_weights`] — measured throughput
-/// for `Proportional`, calibrated once per run and cached), the run rewinds
-/// to the newest complete checkpoint wave and resumes from its reassembled
-/// border. Gives up — surfacing the original fault — when the failure
-/// budget is exhausted or no survivor remains.
-///
-/// **Rebalance** (when `config.policy.rebalance` is on): the run is cut
-/// into segments of `window_waves × checkpoint-interval` block-rows; every
-/// segment boundary lands on the checkpoint cadence, so the boundary wave
-/// is complete the moment the workers join. The controller measures each
-/// device's *effective* throughput over the segment (covered cells — pruned
-/// tiles count at their skip cost — per busy nanosecond), predicts the
-/// remaining makespan under the current widths vs. a proportional re-split,
-/// and when the predicted improvement clears the hysteresis threshold it
-/// migrates block-columns by resuming every worker from the boundary
-/// checkpoint's full-width H/F border wave under new slab geometry. No
-/// block-row is recomputed — the rewind is zero by construction — and
-/// because the checkpointed lanes are exact, scores stay **bit-identical**
-/// to a static split.
-///
-/// Both mechanisms compose: a fault mid-segment takes the recovery path,
-/// and later boundaries keep rebalancing the survivors.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pipeline_segmented(
-    a: &[u8],
-    b: &[u8],
-    platform: &Platform,
-    config: &RunConfig,
-    faults: &FaultSchedule,
-    recovery: Option<RecoveryPolicy>,
-    semantics: Semantics,
-    obs: &Recorder,
-    live: Option<&Arc<LiveTelemetry>>,
-    flight: Option<&Arc<FlightRecorder>>,
-    control: Option<&RunControl>,
-) -> Result<RunReport, PipelineError> {
-    config.validate().map_err(PipelineError::InvalidConfig)?;
-    let kernel = kernel::select(config.policy.dispatch).map_err(PipelineError::InvalidConfig)?;
-    let selection = KernelSelection {
-        dispatch: config.policy.dispatch,
-        resolved: kernel.id(),
-    };
-    let Some(interval) = config.policy.checkpoint.rows_interval() else {
-        return Err(PipelineError::InvalidConfig(
-            "recovery requires a checkpoint cadence (policy.checkpoint must not be Disabled)"
-                .to_string(),
-        ));
-    };
-    let m = a.len();
-    let n = b.len();
-    let mut slabs = make_slabs(n, config.block_w, platform, &config.policy.partition);
-    let prune_mode = effective_prune_mode(config, semantics);
-    let rb_mode = config.policy.rebalance;
-    if m == 0 || slabs.is_empty() {
-        return Ok(empty_report(
-            m,
-            n,
-            platform,
-            &slabs,
-            prune_mode,
-            recovery.map(|_| RecoveryReport::default()),
-            rb_mode.is_enabled().then(RebalanceReport::default),
-            selection,
-        ));
-    }
-
-    let rows = m.div_ceil(config.block_h);
-    let block_h = config.block_h;
-    // Cells in rows < `row` over the full width — the work a checkpoint at
-    // wave `row` preserves.
-    let cells_at = |row: usize| ((row * block_h).min(m) as u128) * n as u128;
-    // Segment length in block-rows: a multiple of the checkpoint interval,
-    // so every boundary wave is deposited by the regular cadence check.
-    // `Off` runs one segment spanning the whole matrix.
-    let (rb_threshold, seg_rows) = match rb_mode {
-        RebalanceMode::Off => (f64::INFINITY, rows),
-        RebalanceMode::On {
-            threshold,
-            window_waves,
-        } => (threshold, (interval * window_waves).min(rows)),
-    };
-
-    let store = CheckpointStore::new(n);
-    let mut blacklist: Vec<usize> = Vec::new();
-    let mut start_row = 0usize;
-    let mut resume: Option<Checkpoint> = None;
-    let mut recovery_report = RecoveryReport::default();
-    let mut rebalance_report = RebalanceReport::default();
-    let mut failures = 0usize;
-    // Calibrated per-device weights for `Proportional` repartitioning:
-    // probed at most once per run, then reused by every recovery
-    // (re-probing on each attempt was measurable overhead on fault-dense
-    // schedules).
-    let mut calibrated: Option<Vec<f64>> = None;
-    // Each device's phase clocks over the segments completed so far, by
-    // platform index. A failed attempt's clocks are never carried: lost
-    // work lands in `other`.
-    let mut carried: Vec<Option<DevicePartial>> = (0..platform.len()).map(|_| None).collect();
-    let run_start_ns = obs.now_ns();
-
-    loop {
-        // Workers poll the control at every block-row; checking here too
-        // skips spawning an attempt that would stop at its first row.
-        if cancelled(control) {
-            return Err(PipelineError::Cancelled);
-        }
-        // Smallest segment boundary strictly past `start_row` (a resumed
-        // attempt may start mid-segment after a fault rewind), clamped to
-        // the matrix.
-        let stop_row = ((start_row / seg_rows + 1) * seg_rows).min(rows);
-        let geoms: Vec<(usize, usize)> = slabs.iter().map(|s| (s.j0, s.width)).collect();
-        let base_best = resume.as_ref().map_or(BestCell::ZERO, |c| c.best);
-        let attempt = store.begin_attempt(start_row, base_best, &geoms);
-        let outcome = run_attempt(AttemptParams {
-            a,
-            b,
-            slabs: &slabs,
-            rows,
-            start_row,
-            stop_row,
-            config,
-            kernel,
-            faults,
-            semantics,
-            obs,
-            live,
-            flight,
-            resume: resume.as_ref(),
-            ckpt: Some(CkptCtx {
-                store: &store,
-                attempt,
-                interval,
-            }),
-            control,
-        });
-        match collect_attempt(outcome.results) {
-            Ok(mut partials) => {
-                // This segment's own effective throughput per device, read
-                // before the earlier segments' clocks are folded in.
-                let rates: Vec<f64> = partials
-                    .iter()
-                    .map(|p| p.cells as f64 / p.busy_ns.max(1) as f64)
-                    .collect();
-                for (slab, p) in slabs.iter().zip(partials.iter_mut()) {
-                    if let Some(earlier) = carried[slab.device].take() {
-                        p.carry(&earlier);
-                    }
-                }
-                if stop_row >= rows {
-                    let wall_ns = obs.now_ns().saturating_sub(run_start_ns);
-                    recovery_report.checkpoints_taken = store.checkpoints_taken();
-                    return Ok(assemble_report(
-                        m,
-                        n,
-                        platform,
-                        &slabs,
-                        &partials,
-                        &outcome.ring_stats,
-                        wall_ns,
-                        run_start_ns,
-                        base_best,
-                        cells_at(start_row),
-                        prune_mode,
-                        recovery.map(|_| recovery_report),
-                        rb_mode.is_enabled().then_some(rebalance_report),
-                        selection,
-                    ));
-                }
-                for (slab, p) in slabs.iter().zip(partials) {
-                    carried[slab.device] = Some(p);
-                }
-
-                // Segment boundary: every worker deposited wave `stop_row`
-                // (a cadence multiple below `rows`) and then joined, so the
-                // newest complete checkpoint *is* the boundary — resuming
-                // from it recomputes nothing.
-                let rb_start_ns = obs.now_ns();
-                rebalance_report.evaluations += 1;
-                // Predicted time to finish the remaining rows (common
-                // factors dropped): the laggard under current widths vs. a
-                // split proportional to measured throughput.
-                let t_static = slabs
-                    .iter()
-                    .zip(&rates)
-                    .map(|(s, &r)| s.width as f64 / r)
-                    .fold(0.0_f64, f64::max);
-                let t_balanced = n as f64 / rates.iter().sum::<f64>();
-                let improvement = 1.0 - t_balanced / t_static;
-                if improvement >= rb_threshold {
-                    let devices: Vec<usize> = slabs.iter().map(|s| s.device).collect();
-                    let new_slabs = resplit_slabs(n, config.block_w, &devices, &rates);
-                    // Columns changing hands: half the total width delta
-                    // (every column lost by one device is gained by
-                    // another).
-                    let moved = new_slabs
-                        .iter()
-                        .map(|ns| {
-                            let old = slabs
-                                .iter()
-                                .find(|s| s.device == ns.device)
-                                .map_or(0, |s| s.width);
-                            ns.width.abs_diff(old)
-                        })
-                        .sum::<usize>()
-                        / 2;
-                    if moved > 0 {
-                        rebalance_report.migrations += 1;
-                        rebalance_report.moved_columns += moved as u64;
-                        rebalance_report.applied_at_rows.push(stop_row);
-                        slabs = new_slabs;
-                        // Workers have joined, so the coordinator is the
-                        // sole writer on every flight lane here.
-                        if let Some(fr) = flight {
-                            for (s_idx, slab) in slabs.iter().enumerate() {
-                                fr.record(
-                                    s_idx,
-                                    FlightEvent {
-                                        kind: FlightKind::Rebalance,
-                                        device: slab.device as u32,
-                                        row: stop_row as u64,
-                                        t_ns: obs.now_ns(),
-                                        dur_ns: 0,
-                                        aux: slab.width as u64,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                obs.record_since(ObsKind::Rebalance, None, Some(stop_row as u32), rb_start_ns);
-                let ck = store
-                    .newest_complete()
-                    .expect("completed segment deposited its boundary wave");
-                debug_assert_eq!(ck.wave, stop_row, "segment hand-off must be rewind-free");
-                start_row = stop_row;
-                resume = Some(ck);
-            }
-            Err(failure) => {
-                // Only device faults are recoverable, and only when a
-                // recovery policy is attached; rebalance-only runs keep
-                // fail-fast fault semantics.
-                let Some(policy) = recovery else {
-                    return Err(failure.error);
-                };
-                let PipelineError::DeviceFault { device, block_row } = failure.error else {
-                    return Err(failure.error);
-                };
-                failures += 1;
-                if failures > policy.max_device_failures {
-                    return Err(failure.error);
-                }
-                let rec_start_ns = obs.now_ns();
-                blacklist.push(device);
-                let measured = match &config.policy.partition {
-                    crate::config::PartitionPolicy::Proportional => Some(
-                        calibrated
-                            .get_or_insert_with(|| crate::balance::default_weights(platform))
-                            .as_slice(),
-                    ),
-                    _ => None,
-                };
-                let survivors = make_slabs_excluding_with_weights(
-                    n,
-                    config.block_w,
-                    platform,
-                    &config.policy.partition,
-                    &blacklist,
-                    measured,
-                );
-                if survivors.is_empty() {
-                    return Err(failure.error);
-                }
-                let ck = store.newest_complete();
-                let new_start = ck.as_ref().map_or(0, |c| c.wave);
-                // Work lost to the rewind: everything this attempt computed
-                // beyond what the checkpoint wave preserves.
-                let preserved = cells_at(new_start).saturating_sub(cells_at(start_row));
-                recovery_report.rewound_cells += failure.cells.saturating_sub(preserved);
-                recovery_report.recoveries += 1;
-                recovery_report.failed_devices.push(device);
-                recovery_report.resumed_from_rows.push(new_start);
-                if let Some(live) = live {
-                    live.on_recovery();
-                }
-                obs.record_since(
-                    ObsKind::Recovery,
-                    Some(device as u32),
-                    Some(block_row as u32),
-                    rec_start_ns,
-                );
-                slabs = survivors;
-                start_row = new_start;
-                resume = ck;
-            }
-        }
-    }
-}
-
-/// Everything one attempt needs; bundled so the recovery driver and the
-/// fail-fast path share the exact same execution code.
-struct AttemptParams<'e> {
+/// What every attempt and every worker of one run reads: the inputs, the
+/// resolved engine and the attached sinks. Built once per run.
+struct RunCtx<'e> {
     a: &'e [u8],
     b: &'e [u8],
-    slabs: &'e [Slab],
-    rows: usize,
-    start_row: usize,
-    /// Block-row to stop before: `rows` for a run-to-completion attempt, a
-    /// checkpoint-cadence multiple for a rebalance segment.
-    stop_row: usize,
+    platform: &'e Platform,
     config: &'e RunConfig,
     /// The DP engine resolved from `config.policy.dispatch`, once, up
     /// front — workers never probe CPU features themselves.
     kernel: &'static dyn Kernel,
     faults: &'e FaultSchedule,
     semantics: Semantics,
+    prune_mode: PruneMode,
+    /// Block-rows of the whole matrix.
+    rows: usize,
     obs: &'e Recorder,
     live: Option<&'e Arc<LiveTelemetry>>,
     flight: Option<&'e Arc<FlightRecorder>>,
-    /// Checkpoint to resume from (tops are sliced out of its lanes).
-    resume: Option<&'e Checkpoint>,
-    /// Where workers deposit checkpoints, when recovery is enabled.
-    ckpt: Option<CkptCtx<'e>>,
     /// Cancel/park control, polled by every worker per row.
     control: Option<&'e RunControl>,
+}
+
+impl RunCtx<'_> {
+    fn selection(&self) -> KernelSelection {
+        KernelSelection {
+            dispatch: self.config.policy.dispatch,
+            resolved: self.kernel.id(),
+        }
+    }
+
+    /// Cells in rows < `row` over the full width — the work a checkpoint
+    /// at wave `row` preserves.
+    fn cells_at(&self, row: usize) -> u128 {
+        ((row * self.config.block_h).min(self.a.len()) as u128) * self.b.len() as u128
+    }
+}
+
+/// What the driver carries from one attempt to the next.
+struct Progress {
+    slabs: Vec<Slab>,
+    /// First block-row of the next attempt.
+    start_row: usize,
+    /// Checkpoint the next attempt resumes from (tops are sliced out of
+    /// its lanes); `None` at the matrix edge.
+    resume: Option<Checkpoint>,
+    /// `Some` when a recovery policy is attached.
+    recovery: Option<RecoveryReport>,
+    /// `Some` when rebalance is on.
+    rebalance: Option<RebalanceReport>,
+}
+
+/// One attempt: block-rows `start_row..stop_row` over `slabs`.
+struct Segment<'e> {
+    slabs: &'e [Slab],
+    start_row: usize,
+    /// Block-row to stop before: `rows` for a run-to-completion attempt, a
+    /// checkpoint-cadence multiple for a rebalance segment.
+    stop_row: usize,
+    resume: Option<&'e Checkpoint>,
+    /// Where workers deposit checkpoints, when the run keeps a store.
+    ckpt: Option<CkptCtx<'e>>,
 }
 
 #[derive(Clone, Copy)]
@@ -1085,31 +947,25 @@ struct CkptCtx<'e> {
     interval: usize,
 }
 
-/// A worker's failure, carrying how many cells it computed before dying so
-/// the rewind accounting stays exact.
-struct WorkerFailure {
-    error: PipelineError,
-    cells: u128,
-}
-
-/// An attempt's failure: the root-cause error plus the cells the whole
-/// attempt computed (all workers, finished or not).
-struct AttemptFailure {
+/// A worker's or a whole attempt's failure, carrying the cells computed
+/// before it (by the worker, or by all of the attempt's workers) so the
+/// rewind accounting stays exact.
+struct Failure {
     error: PipelineError,
     cells: u128,
 }
 
 struct AttemptOutcome {
-    results: Vec<Result<DevicePartial, WorkerFailure>>,
+    results: Vec<Result<DevicePartial, Failure>>,
     ring_stats: Vec<RingStats>,
 }
 
-/// Spawn one worker per slab and run block-rows `start_row..rows` over the
-/// given slab set. Rings are per-attempt; a failed worker poisons its
-/// neighbours' rings so the failure propagates instead of deadlocking.
-fn run_attempt(p: AttemptParams<'_>) -> AttemptOutcome {
-    let rings: Vec<CircularBuffer<BorderMsg>> = (0..p.slabs.len().saturating_sub(1))
-        .map(|_| CircularBuffer::with_capacity(p.config.buffer_capacity))
+/// Spawn one worker per slab and run the segment's block-rows. Rings are
+/// per-attempt; a failed worker poisons its neighbours' rings so the
+/// failure propagates instead of deadlocking.
+fn run_attempt(ctx: &RunCtx<'_>, seg: &Segment<'_>) -> AttemptOutcome {
+    let rings: Vec<CircularBuffer<BorderMsg>> = (0..seg.slabs.len().saturating_sub(1))
+        .map(|_| CircularBuffer::with_capacity(ctx.config.buffer_capacity))
         .collect();
 
     // The low-frequency side channel of distributed pruning: every worker
@@ -1117,53 +973,27 @@ fn run_attempt(p: AttemptParams<'_>) -> AttemptOutcome {
     // once per block-row, carrying best scores between *non-adjacent*
     // devices (ring piggybacking only reaches the right-hand neighbour).
     // Seeded from the resume checkpoint so pruning composes with recovery.
-    let global_watermark = AtomicI32::new(p.resume.map_or(0, |ck| ck.watermark));
+    let global_watermark = AtomicI32::new(seg.resume.map_or(0, |ck| ck.watermark));
 
-    if let Some(live) = p.live {
+    if let Some(live) = ctx.live {
         for (s_idx, ring) in rings.iter().enumerate() {
             if let Some(gauge) = live.ring_gauge(s_idx) {
                 ring.attach_occupancy_gauge(gauge);
             }
         }
-        for s_idx in 0..p.slabs.len() {
-            live.set_rows_total(s_idx, p.rows as u64);
+        for s_idx in 0..seg.slabs.len() {
+            live.set_rows_total(s_idx, ctx.rows as u64);
         }
     }
 
-    let results: Vec<Result<DevicePartial, WorkerFailure>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p.slabs.len());
-        for (s_idx, slab) in p.slabs.iter().enumerate() {
-            let ring_in = if s_idx > 0 {
-                Some(&rings[s_idx - 1])
-            } else {
-                None
-            };
+    let results: Vec<Result<DevicePartial, Failure>> = std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(seg.slabs.len());
+        for s_idx in 0..seg.slabs.len() {
+            let ring_in = s_idx.checked_sub(1).map(|i| &rings[i]);
             let ring_out = rings.get(s_idx);
-            let p = &p;
             let global_watermark = &global_watermark;
             handles.push(scope.spawn(move || {
-                let result = device_worker(WorkerParams {
-                    a: p.a,
-                    b: p.b,
-                    slab: *slab,
-                    s_idx,
-                    rows: p.rows,
-                    start_row: p.start_row,
-                    stop_row: p.stop_row,
-                    config: p.config,
-                    kernel: p.kernel,
-                    ring_in,
-                    ring_out,
-                    faults: p.faults,
-                    semantics: p.semantics,
-                    obs: p.obs,
-                    live: p.live,
-                    flight: p.flight,
-                    resume: p.resume,
-                    ckpt: p.ckpt,
-                    control: p.control,
-                    global_watermark,
-                });
+                let result = device_worker(ctx, seg, s_idx, ring_in, ring_out, global_watermark);
                 if result.is_err() {
                     // Wake neighbours so the failure propagates instead of
                     // deadlocking the chain.
@@ -1196,8 +1026,8 @@ fn run_attempt(p: AttemptParams<'_>) -> AttemptOutcome {
 /// cancel. The failure carries the attempt's total computed cells for the
 /// rewind accounting.
 fn collect_attempt(
-    results: Vec<Result<DevicePartial, WorkerFailure>>,
-) -> Result<Vec<DevicePartial>, AttemptFailure> {
+    results: Vec<Result<DevicePartial, Failure>>,
+) -> Result<Vec<DevicePartial>, Failure> {
     let mut cells: u128 = 0;
     let mut fault: Option<PipelineError> = None;
     let mut cancel: Option<PipelineError> = None;
@@ -1230,7 +1060,7 @@ fn collect_attempt(
     if !failed {
         return Ok(partials);
     }
-    Err(AttemptFailure {
+    Err(Failure {
         error: fault
             .or(cancel)
             .or(poison)
@@ -1238,37 +1068,28 @@ fn collect_attempt(
         cells,
     })
 }
-
 /// Build the final [`RunReport`] from the last (successful) attempt, whose
 /// partials already carry the phase clocks of earlier completed segments.
-/// `base_best` / `base_cells` are what the resumed-from checkpoint already
-/// established; zero for single-attempt runs.
-#[allow(clippy::too_many_arguments)]
+/// The resumed-from checkpoint in `st` supplies the best cell and cells
+/// already established above the attempt; a plain run has none.
 fn assemble_report(
-    m: usize,
-    n: usize,
-    platform: &Platform,
-    slabs: &[Slab],
+    ctx: &RunCtx<'_>,
+    st: Progress,
     partials: &[DevicePartial],
     ring_stats: &[RingStats],
     wall_ns: u64,
     run_start_ns: u64,
-    base_best: BestCell,
-    base_cells: u128,
-    prune_mode: PruneMode,
-    recovery: Option<RecoveryReport>,
-    rebalance: Option<RebalanceReport>,
-    kernel: KernelSelection,
 ) -> RunReport {
+    let base_best = st.resume.as_ref().map_or(BestCell::ZERO, |c| c.best);
     let best = partials.iter().fold(base_best, |acc, p| acc.merge(p.best));
-    let total_cells = m as u128 * n as u128;
+    let total_cells = ctx.a.len() as u128 * ctx.b.len() as u128;
     debug_assert_eq!(
-        base_cells + partials.iter().map(|p| p.cells).sum::<u128>(),
+        ctx.cells_at(st.start_row) + partials.iter().map(|p| p.cells).sum::<u128>(),
         total_cells,
         "checkpointed rows plus the final attempt must cover the matrix exactly"
     );
-    let pruning = prune_mode.is_enabled().then(|| PruningReport {
-        mode: prune_mode,
+    let pruning = ctx.prune_mode.is_enabled().then(|| PruningReport {
+        mode: ctx.prune_mode,
         tiles_pruned: partials.iter().map(|p| p.tiles_pruned).sum(),
         tiles_total: partials.iter().map(|p| p.tiles_total).sum(),
         cells_skipped: partials.iter().map(|p| p.cells_skipped).sum(),
@@ -1283,7 +1104,8 @@ fn assemble_report(
     });
     let wall = Duration::from_nanos(wall_ns);
 
-    let devices = slabs
+    let devices = st
+        .slabs
         .iter()
         .zip(partials)
         .enumerate()
@@ -1296,33 +1118,25 @@ fn assemble_report(
                 wall_ns,
                 p.first_kernel_start_ns.saturating_sub(run_start_ns),
                 p.last_kernel_end_ns.saturating_sub(run_start_ns),
-                p.busy_ns,
-            );
-            // Phase attribution over the whole run's makespan. A segmented
-            // run's partials carry the clocks of every completed segment;
-            // the lost attempts of a recovered run land in `other`.
-            let attribution = StallAttribution::from_measured(
-                wall_ns,
-                p.busy_ns,
-                p.wait_input_ns,
-                p.wait_output_ns,
-                p.checkpoint_ns,
-                p.prune_skip_ns,
-                p.simd_rescue_ns,
+                p.clocks.busy_ns,
             );
             DeviceReport {
                 device: slab.device,
-                name: platform.devices[slab.device].name.clone(),
+                name: ctx.platform.devices[slab.device].name.clone(),
                 slab_j0: slab.j0,
                 slab_width: slab.width,
                 cells: p.cells,
                 bytes_sent: p.bytes_sent,
                 ring_out: ring_stats.get(s_idx).copied(),
-                wall_busy: Some(Duration::from_nanos(p.busy_ns)),
+                wall_busy: Some(Duration::from_nanos(p.clocks.busy_ns)),
                 sim_busy: None,
                 sim_utilization: None,
                 stall: Some(stall),
-                attribution: Some(attribution),
+                // Phase attribution over the whole run's makespan. A
+                // segmented run's partials carry the clocks of every
+                // completed segment; the lost attempts of a recovered run
+                // land in `other`.
+                attribution: Some(StallAttribution::from_measured(wall_ns, &p.clocks)),
             }
         })
         .collect();
@@ -1337,38 +1151,11 @@ fn assemble_report(
         gcups_sim: None,
         devices,
         pruning,
-        recovery,
-        rebalance,
-        kernel,
+        recovery: st.recovery,
+        rebalance: st.rebalance,
+        kernel: ctx.selection(),
         simd_rescues: partials.iter().map(|p| p.simd_rescues).sum(),
     }
-}
-
-/// One worker's slice of an [`AttemptParams`].
-struct WorkerParams<'e> {
-    a: &'e [u8],
-    b: &'e [u8],
-    slab: Slab,
-    s_idx: usize,
-    rows: usize,
-    start_row: usize,
-    /// Exclusive upper bound of this attempt's block-rows (a segment
-    /// boundary, or `rows` when the attempt runs to completion).
-    stop_row: usize,
-    config: &'e RunConfig,
-    kernel: &'static dyn Kernel,
-    ring_in: Option<&'e CircularBuffer<BorderMsg>>,
-    ring_out: Option<&'e CircularBuffer<BorderMsg>>,
-    faults: &'e FaultSchedule,
-    semantics: Semantics,
-    obs: &'e Recorder,
-    live: Option<&'e Arc<LiveTelemetry>>,
-    flight: Option<&'e Arc<FlightRecorder>>,
-    resume: Option<&'e Checkpoint>,
-    ckpt: Option<CkptCtx<'e>>,
-    control: Option<&'e RunControl>,
-    /// Shared watermark for non-adjacent devices (distributed pruning).
-    global_watermark: &'e AtomicI32,
 }
 
 /// The per-device loop.
@@ -1381,35 +1168,22 @@ struct WorkerParams<'e> {
 /// pop, `Compute` fault check, kernels, checkpoint deposit, `RingPush`
 /// fault check, push, `Transfer` fault check — so a scheduled fault kills
 /// the device at a well-defined point regardless of ring topology.
-fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
-    let WorkerParams {
-        a,
-        b,
-        slab,
-        s_idx,
-        rows,
-        start_row,
-        stop_row,
-        config,
-        kernel,
-        ring_in,
-        ring_out,
-        faults,
-        semantics,
-        obs,
-        live,
-        flight,
-        resume,
-        ckpt,
-        control,
-        global_watermark,
-    } = p;
+fn device_worker(
+    ctx: &RunCtx<'_>,
+    seg: &Segment<'_>,
+    s_idx: usize,
+    ring_in: Option<&CircularBuffer<BorderMsg>>,
+    ring_out: Option<&CircularBuffer<BorderMsg>>,
+    global_watermark: &AtomicI32,
+) -> Result<DevicePartial, Failure> {
+    let (a, b, config, obs) = (ctx.a, ctx.b, ctx.config, ctx.obs);
+    let slab = seg.slabs[s_idx];
     let m = a.len();
     let n = b.len();
     let block_h = config.block_h;
     let block_w = config.block_w;
     let lane = slab.device as u32;
-    let prune_mode = effective_prune_mode(config, semantics);
+    let prune_mode = ctx.prune_mode;
 
     // Tile columns of this slab.
     let mut cols: Vec<(usize, usize)> = Vec::new(); // (j0, width)
@@ -1422,10 +1196,10 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
 
     // Top borders: analytic at the matrix edge, or sliced out of the
     // checkpoint's exact full-width H/F lanes when resuming mid-matrix.
-    let mut tops: Vec<RowBorder> = match resume {
+    let mut tops: Vec<RowBorder> = match seg.resume {
         None => cols
             .iter()
-            .map(|&(jc0, w)| match semantics {
+            .map(|&(jc0, w)| match ctx.semantics {
                 Semantics::Local => RowBorder::zero(w),
                 Semantics::Anchored => RowBorder::anchored(w, jc0, &config.scheme),
             })
@@ -1446,20 +1220,16 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
     let mut bytes_sent: u64 = 0;
     let mut first_kernel_start_ns: Option<u64> = None;
     let mut last_kernel_end_ns: u64 = 0;
-    let mut busy_ns: u64 = 0;
     // Fine-grained phase clocks (StallAttribution). Rescue time is read
     // from the kernel crate's thread-local counters — this worker owns its
     // thread, so the deltas are exactly its own rescues.
-    let mut wait_input_ns: u64 = 0;
-    let mut wait_output_ns: u64 = 0;
-    let mut checkpoint_ns: u64 = 0;
-    let mut prune_skip_ns: u64 = 0;
+    let mut clocks = PhaseClocks::default();
     let rescues_base = kernel::simd_rescues_thread();
     let rescue_ns_base = kernel::simd_rescue_ns_thread();
     // One flight-recorder append per step; ~70 ns each, only when a
     // recorder is attached.
     let fly = |kind: FlightKind, row: u64, t_ns: u64, dur_ns: u64, aux: u64| {
-        if let Some(fr) = flight {
+        if let Some(fr) = ctx.flight {
             fr.record(
                 s_idx,
                 FlightEvent {
@@ -1483,14 +1253,14 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
     // knowledge.
     let mut watermark: Score = match prune_mode {
         PruneMode::Off => 0,
-        PruneMode::Local | PruneMode::Distributed => resume.map_or(0, |ck| ck.watermark),
+        PruneMode::Local | PruneMode::Distributed => seg.resume.map_or(0, |ck| ck.watermark),
     };
 
     // Fault events carry aux 0 = injected device fault, 1 = poisoned ring
     // observed from a dead neighbour.
     let die = |cells: u128, r: usize| {
         fly(FlightKind::Fault, r as u64, obs.now_ns(), 0, 0);
-        WorkerFailure {
+        Failure {
             error: PipelineError::DeviceFault {
                 device: slab.device,
                 block_row: r,
@@ -1500,7 +1270,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
     };
     let poisoned = |cells: u128, r: usize| {
         fly(FlightKind::Fault, r as u64, obs.now_ns(), 0, 1);
-        WorkerFailure {
+        Failure {
             error: PipelineError::RingPoisoned {
                 device: slab.device,
             },
@@ -1515,17 +1285,17 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
     let mut ck_h: Vec<Score> = Vec::new();
     let mut ck_f: Vec<Score> = Vec::new();
 
-    for r in start_row..stop_row {
+    for r in seg.start_row..seg.stop_row {
         let i0 = r * block_h + 1;
         let i1 = ((r + 1) * block_h).min(m) + 1;
         let height = i1 - i0;
         let row = r as u32;
-        if let Err(error) = poll(control) {
-            return Err(WorkerFailure { error, cells });
+        if let Err(error) = poll(ctx.control) {
+            return Err(Failure { error, cells });
         }
         fly(FlightKind::RowStart, r as u64, obs.now_ns(), 0, 0);
 
-        if faults.fires(slab.device, r, FaultPhase::RingPop) {
+        if ctx.faults.fires(slab.device, r, FaultPhase::RingPop) {
             return Err(die(cells, r));
         }
 
@@ -1537,7 +1307,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         }
 
         let mut left: ColBorder = match ring_in {
-            None => match semantics {
+            None => match ctx.semantics {
                 Semantics::Local => ColBorder::zero(height),
                 Semantics::Anchored => ColBorder::anchored(height, i0, &config.scheme),
             },
@@ -1546,8 +1316,8 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 let popped = ring.pop();
                 let wait_end = obs.now_ns().max(wait_start);
                 obs.record_since(ObsKind::RingPopWait, Some(lane), Some(row), wait_start);
-                wait_input_ns += wait_end - wait_start;
-                if let Some(live) = live {
+                clocks.wait_input_ns += wait_end - wait_start;
+                if let Some(live) = ctx.live {
                     live.on_phase_ns(s_idx, StallPhase::WaitInput, wait_end - wait_start);
                 }
                 fly(
@@ -1579,7 +1349,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
             }
         };
 
-        if faults.fires(slab.device, r, FaultPhase::Compute) {
+        if ctx.faults.fires(slab.device, r, FaultPhase::Compute) {
             return Err(die(cells, r));
         }
 
@@ -1600,8 +1370,8 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                     let skip_start = obs.now_ns();
                     let out = skip_block(height, wc);
                     let skip_ns = obs.now_ns().max(skip_start) - skip_start;
-                    prune_skip_ns += skip_ns;
-                    if let Some(live) = live {
+                    clocks.prune_skip_ns += skip_ns;
+                    if let Some(live) = ctx.live {
                         live.on_phase_ns(s_idx, StallPhase::PruneSkip, skip_ns);
                     }
                     fly(
@@ -1631,9 +1401,9 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 row_offset: i0,
                 col_offset: jc0,
             };
-            let out = match semantics {
-                Semantics::Local => kernel.block(input, &config.scheme),
-                Semantics::Anchored => kernel.block_anchored(input, &config.scheme),
+            let out = match ctx.semantics {
+                Semantics::Local => ctx.kernel.block(input, &config.scheme),
+                Semantics::Anchored => ctx.kernel.block_anchored(input, &config.scheme),
             };
             best = best.merge(out.best);
             cells += out.cells as u128;
@@ -1653,7 +1423,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         });
         first_kernel_start_ns.get_or_insert(kernel_start);
         last_kernel_end_ns = kernel_end;
-        busy_ns += kernel_end - kernel_start;
+        clocks.busy_ns += kernel_end - kernel_start;
         fly(
             FlightKind::Compute,
             r as u64,
@@ -1661,7 +1431,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
             kernel_end - kernel_start,
             cols.len() as u64,
         );
-        if let Some(live) = live {
+        if let Some(live) = ctx.live {
             live.on_row_done(
                 s_idx,
                 (height as u64) * (slab.width as u64),
@@ -1684,9 +1454,9 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
 
         // Deposit a checkpoint as soon as the wave's kernels are done, so
         // a later push/transfer fault on this very row still benefits.
-        if let Some(ck) = ckpt {
+        if let Some(ck) = seg.ckpt {
             let wave = r + 1;
-            if wave % ck.interval == 0 && wave < rows {
+            if wave % ck.interval == 0 && wave < ctx.rows {
                 let ckpt_start = obs.now_ns();
                 ck_h.clear();
                 ck_f.clear();
@@ -1697,10 +1467,10 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                     ck_f.extend_from_slice(&t.f[1..]);
                 }
                 ck.store
-                    .record(ck.attempt, wave, s_idx, &ck_h, &ck_f, best, watermark);
+                    .record(ck.attempt, wave, s_idx, (&ck_h, &ck_f), best, watermark);
                 let ckpt_ns = obs.now_ns().max(ckpt_start) - ckpt_start;
-                checkpoint_ns += ckpt_ns;
-                if let Some(live) = live {
+                clocks.checkpoint_ns += ckpt_ns;
+                if let Some(live) = ctx.live {
                     live.on_phase_ns(s_idx, StallPhase::Checkpoint, ckpt_ns);
                 }
                 fly(
@@ -1713,7 +1483,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
             }
         }
 
-        if faults.fires(slab.device, r, FaultPhase::RingPush) {
+        if ctx.faults.fires(slab.device, r, FaultPhase::RingPush) {
             return Err(die(cells, r));
         }
 
@@ -1728,8 +1498,8 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
             });
             let push_end = obs.now_ns().max(push_start);
             obs.record_since(ObsKind::RingPush, Some(lane), Some(row), push_start);
-            wait_output_ns += push_end - push_start;
-            if let Some(live) = live {
+            clocks.wait_output_ns += push_end - push_start;
+            if let Some(live) = ctx.live {
                 live.on_phase_ns(s_idx, StallPhase::WaitOutput, push_end - push_start);
             }
             fly(
@@ -1744,7 +1514,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
             }
         }
 
-        if faults.fires(slab.device, r, FaultPhase::Transfer) {
+        if ctx.faults.fires(slab.device, r, FaultPhase::Transfer) {
             return Err(die(cells, r));
         }
     }
@@ -1763,39 +1533,30 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         bytes_sent,
         first_kernel_start_ns: first_kernel_start_ns.unwrap_or(0),
         last_kernel_end_ns,
-        busy_ns,
-        wait_input_ns,
-        wait_output_ns,
-        checkpoint_ns,
-        prune_skip_ns,
-        simd_rescue_ns: kernel::simd_rescue_ns_thread().saturating_sub(rescue_ns_base),
+        clocks: PhaseClocks {
+            simd_rescue_ns: kernel::simd_rescue_ns_thread().saturating_sub(rescue_ns_base),
+            ..clocks
+        },
         simd_rescues: kernel::simd_rescues_thread().saturating_sub(rescues_base),
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn empty_report(
-    m: usize,
-    n: usize,
-    platform: &Platform,
-    slabs: &[Slab],
-    prune_mode: PruneMode,
-    recovery: Option<RecoveryReport>,
-    rebalance: Option<RebalanceReport>,
-    kernel: KernelSelection,
-) -> RunReport {
+/// The report of a run with no cells to compute (an empty sequence, or no
+/// slab to place).
+fn empty_report(ctx: &RunCtx<'_>, st: Progress) -> RunReport {
     RunReport {
         best: BestCell::ZERO,
-        total_cells: m as u128 * n as u128,
+        total_cells: ctx.a.len() as u128 * ctx.b.len() as u128,
         wall_time: Some(std::time::Duration::ZERO),
         gcups_wall: Some(0.0),
         sim_time: None,
         gcups_sim: None,
-        devices: slabs
+        devices: st
+            .slabs
             .iter()
             .map(|slab| DeviceReport {
                 device: slab.device,
-                name: platform.devices[slab.device].name.clone(),
+                name: ctx.platform.devices[slab.device].name.clone(),
                 slab_j0: slab.j0,
                 slab_width: slab.width,
                 cells: 0,
@@ -1808,16 +1569,16 @@ fn empty_report(
                 attribution: None,
             })
             .collect(),
-        pruning: prune_mode.is_enabled().then_some(PruningReport {
-            mode: prune_mode,
+        pruning: ctx.prune_mode.is_enabled().then_some(PruningReport {
+            mode: ctx.prune_mode,
             tiles_pruned: 0,
             tiles_total: 0,
             cells_skipped: 0,
             watermark_lag: 0,
         }),
-        recovery,
-        rebalance,
-        kernel,
+        recovery: st.recovery,
+        rebalance: st.rebalance,
+        kernel: ctx.selection(),
         simd_rescues: 0,
     }
 }
@@ -1957,9 +1718,10 @@ mod tests {
     #[test]
     fn fault_in_middle_device_propagates_cleanly() {
         let (a, b) = pair(2_000, 8);
-        let fault = FaultPlan {
+        let fault = ScheduledFault {
             device: 1,
-            fail_at_block_row: 5,
+            block_row: 5,
+            phase: FaultPhase::Compute,
         };
         let err = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
             .config(RunConfig::test_default())
@@ -1980,9 +1742,10 @@ mod tests {
         let (a, b) = pair(1_000, 9);
         let err = PipelineRun::new(a.codes(), b.codes(), &Platform::env1())
             .config(RunConfig::test_default())
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 0,
-                fail_at_block_row: 0,
+                block_row: 0,
+                phase: FaultPhase::Compute,
             })
             .run()
             .unwrap_err();
@@ -2092,9 +1855,10 @@ mod tests {
         let clean = run_local(a.codes(), b.codes(), &Platform::env2(), cfg.clone());
         let recovered = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
             .config(cfg)
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 10,
+                block_row: 10,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy::default())
             .run()
@@ -2172,9 +1936,10 @@ mod tests {
             .with_checkpoint(CheckpointCadence::EveryRows(4));
         let report = PipelineRun::new(a.codes(), b.codes(), &Platform::env1())
             .config(cfg)
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 12,
+                block_row: 12,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy::default())
             .run()
@@ -2207,9 +1972,10 @@ mod tests {
         let dump = dir.join("fault.jsonl");
         let err = PipelineRun::new(a.codes(), b.codes(), &Platform::env1())
             .config(RunConfig::test_default())
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 0,
-                fail_at_block_row: 3,
+                block_row: 3,
+                phase: FaultPhase::Compute,
             })
             .flight(Arc::clone(&flight))
             .flight_dump_path(&dump)
@@ -2353,12 +2119,6 @@ mod tests {
         // Display always writes the explicit three-part form.
         assert_eq!(s.to_string(), "1:5:compute,2:9:ring-push");
         assert_eq!(s.to_string().parse::<FaultSchedule>().unwrap(), s);
-        // Legacy FaultPlan converts to a compute-phase fault.
-        let from_plan = FaultSchedule::from(FaultPlan {
-            device: 1,
-            fail_at_block_row: 5,
-        });
-        assert_eq!(from_plan.faults[0].phase, FaultPhase::Compute);
         assert!("x:1".parse::<FaultSchedule>().is_err());
         assert!("1:2:warp".parse::<FaultSchedule>().is_err());
         assert!("".parse::<FaultSchedule>().is_err());
@@ -2375,9 +2135,10 @@ mod tests {
             .unwrap();
         let recovered = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
             .config(cfg)
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 5,
+                block_row: 5,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy::default())
             .run()
@@ -2463,9 +2224,10 @@ mod tests {
             .unwrap();
         let recovered = PipelineRun::new(a.codes(), b.codes(), &Platform::env1())
             .config(RunConfig::test_default())
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 0,
-                fail_at_block_row: 0,
+                block_row: 0,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy::default())
             .run()
@@ -2480,9 +2242,10 @@ mod tests {
         let (a, b) = pair(1_500, 24);
         let err = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
             .config(RunConfig::test_default().with_checkpoint(CheckpointCadence::EveryRows(8)))
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 5,
+                block_row: 5,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy {
                 max_device_failures: 0,
@@ -2531,9 +2294,10 @@ mod tests {
         let (a, b) = pair(2_000, 26);
         let recovered = PipelineRun::new(a.codes(), b.codes(), &Platform::env1())
             .config(RunConfig::test_default().with_checkpoint(CheckpointCadence::EveryRows(4)))
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 10,
+                block_row: 10,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy {
                 max_device_failures: 1,
@@ -2589,9 +2353,10 @@ mod tests {
             });
         let report = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
             .config(cfg)
-            .faults(FaultPlan {
+            .faults(ScheduledFault {
                 device: 1,
-                fail_at_block_row: 9,
+                block_row: 9,
+                phase: FaultPhase::Compute,
             })
             .recover(RecoveryPolicy::default())
             .run()
@@ -2880,7 +2645,19 @@ mod tests {
     fn never_set_token_runs_the_plain_driver() {
         let (a, b) = pair(3_000, 62);
         let platform = Platform::env2();
-        let plain = run_local(a.codes(), b.codes(), &platform, RunConfig::test_default());
+        // A cadence alone checkpoints nothing: without recovery or
+        // rebalance the run is one attempt with no checkpoint store.
+        let every_row = RunConfig::test_default().with_checkpoint(CheckpointCadence::EveryRows(1));
+        let plain_flight = FlightRecorder::new(platform.len(), 4096);
+        let plain = PipelineRun::new(a.codes(), b.codes(), &platform)
+            .config(every_row)
+            .flight(Arc::clone(&plain_flight))
+            .run()
+            .unwrap();
+        assert!(plain.recovery.is_none() && plain.rebalance.is_none());
+        assert!((0..platform.len())
+            .flat_map(|lane| plain_flight.events(lane))
+            .all(|e| e.kind != FlightKind::Checkpoint && e.kind != FlightKind::Rebalance));
         let flight = FlightRecorder::new(platform.len(), 4096);
         let controlled = PipelineRun::new(a.codes(), b.codes(), &platform)
             .config(RunConfig::test_default())

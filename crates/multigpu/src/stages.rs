@@ -21,7 +21,7 @@
 //! [`megasw_sw::traceback::local_align`].
 
 use crate::config::RunConfig;
-use crate::pipeline::{run_pipeline_live, FaultSchedule, PipelineError, Semantics};
+use crate::pipeline::{PipelineError, PipelineRun, Semantics};
 use megasw_gpusim::Platform;
 use megasw_obs::{LiveTelemetry, ObsKind, Recorder};
 use megasw_sw::traceback::{myers_miller, score_of_ops, LocalAlignment};
@@ -74,21 +74,20 @@ pub fn multigpu_local_align_live(
     live: Option<&Arc<LiveTelemetry>>,
 ) -> Result<(LocalAlignment, StageTimes), PipelineError> {
     let mut times = StageTimes::default();
+    let pipeline = |a: &[u8], b: &[u8], semantics: Semantics| {
+        let mut run = PipelineRun::new(a, b, platform)
+            .config(config.clone())
+            .semantics(semantics)
+            .observer(obs.clone());
+        if let Some(live) = live {
+            run = run.live(Arc::clone(live));
+        }
+        run.execute()
+    };
 
     // Stage 1: forward local pipeline.
     let t0 = std::time::Instant::now();
-    let stage1 = run_pipeline_live(
-        a,
-        b,
-        platform,
-        config,
-        &FaultSchedule::default(),
-        Semantics::Local,
-        obs,
-        live,
-        None,
-        None,
-    )?;
+    let stage1 = pipeline(a, b, Semantics::Local)?;
     times.stage1 = t0.elapsed();
     let best = stage1.best;
     if best.score <= 0 {
@@ -100,18 +99,7 @@ pub fn multigpu_local_align_live(
     let t0 = std::time::Instant::now();
     let ar: Vec<u8> = a[..ie].iter().rev().copied().collect();
     let br: Vec<u8> = b[..je].iter().rev().copied().collect();
-    let stage2 = run_pipeline_live(
-        &ar,
-        &br,
-        platform,
-        config,
-        &FaultSchedule::default(),
-        Semantics::Anchored,
-        obs,
-        live,
-        None,
-        None,
-    )?;
+    let stage2 = pipeline(&ar, &br, Semantics::Anchored)?;
     times.stage2 = t0.elapsed();
     debug_assert_eq!(
         stage2.best.score, best.score,

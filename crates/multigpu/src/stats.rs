@@ -99,41 +99,58 @@ pub struct StallAttribution {
     pub other_ns: u64,
 }
 
+/// One device's measured phase clocks, in nanoseconds: what
+/// [`StallAttribution::from_measured`] splits a makespan by. Clocks of
+/// consecutive segments of the same device add up with `+=`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PhaseClocks {
+    /// Coarse per-tile kernel time (the number behind
+    /// `DeviceReport::wall_busy` / `sim_busy`); contains the prune-skip
+    /// and rescue slices.
+    pub busy_ns: u64,
+    pub wait_input_ns: u64,
+    pub wait_output_ns: u64,
+    pub checkpoint_ns: u64,
+    pub prune_skip_ns: u64,
+    pub simd_rescue_ns: u64,
+}
+
+impl std::ops::AddAssign for PhaseClocks {
+    fn add_assign(&mut self, other: PhaseClocks) {
+        self.busy_ns += other.busy_ns;
+        self.wait_input_ns += other.wait_input_ns;
+        self.wait_output_ns += other.wait_output_ns;
+        self.checkpoint_ns += other.checkpoint_ns;
+        self.prune_skip_ns += other.prune_skip_ns;
+        self.simd_rescue_ns += other.simd_rescue_ns;
+    }
+}
+
 impl StallAttribution {
-    /// Build from a device's measured phase clocks. `busy_ns` is the
-    /// coarse per-tile kernel time (the same number behind
-    /// `DeviceReport::wall_busy` / `sim_busy`), which *contains* the
-    /// prune-skip and rescue slices; they are subtracted out so the seven
-    /// phases stay disjoint. `other_ns` picks up the remainder, making
-    /// [`StallAttribution::total_ns`] equal `wall_ns` by construction
-    /// (all subtraction saturates, so clock jitter can shrink `other_ns`
-    /// to zero but never underflow).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_measured(
-        wall_ns: u64,
-        busy_ns: u64,
-        wait_input_ns: u64,
-        wait_output_ns: u64,
-        checkpoint_ns: u64,
-        prune_skip_ns: u64,
-        simd_rescue_ns: u64,
-    ) -> Self {
-        let compute_ns = busy_ns
-            .saturating_sub(prune_skip_ns)
-            .saturating_sub(simd_rescue_ns);
+    /// Build from a device's measured phase clocks. `busy_ns` *contains*
+    /// the prune-skip and rescue slices; they are subtracted out so the
+    /// seven phases stay disjoint. `other_ns` picks up the remainder,
+    /// making [`StallAttribution::total_ns`] equal `wall_ns` by
+    /// construction (all subtraction saturates, so clock jitter can
+    /// shrink `other_ns` to zero but never underflow).
+    pub fn from_measured(wall_ns: u64, clocks: &PhaseClocks) -> Self {
+        let compute_ns = clocks
+            .busy_ns
+            .saturating_sub(clocks.prune_skip_ns)
+            .saturating_sub(clocks.simd_rescue_ns);
         let measured = compute_ns
-            + wait_input_ns
-            + wait_output_ns
-            + checkpoint_ns
-            + prune_skip_ns
-            + simd_rescue_ns;
+            + clocks.wait_input_ns
+            + clocks.wait_output_ns
+            + clocks.checkpoint_ns
+            + clocks.prune_skip_ns
+            + clocks.simd_rescue_ns;
         StallAttribution {
             compute_ns,
-            wait_input_ns,
-            wait_output_ns,
-            checkpoint_ns,
-            prune_skip_ns,
-            simd_rescue_ns,
+            wait_input_ns: clocks.wait_input_ns,
+            wait_output_ns: clocks.wait_output_ns,
+            checkpoint_ns: clocks.checkpoint_ns,
+            prune_skip_ns: clocks.prune_skip_ns,
+            simd_rescue_ns: clocks.simd_rescue_ns,
             other_ns: wall_ns.saturating_sub(measured),
         }
     }
@@ -614,6 +631,17 @@ mod tests {
         assert_eq!(bd.drain, SimTime::ZERO);
     }
 
+    fn clocks() -> PhaseClocks {
+        PhaseClocks {
+            busy_ns: 5_000_000,
+            wait_input_ns: 2_000_000,
+            wait_output_ns: 500_000,
+            checkpoint_ns: 200_000,
+            prune_skip_ns: 100_000,
+            simd_rescue_ns: 50_000,
+        }
+    }
+
     fn report() -> RunReport {
         RunReport {
             best: BestCell::new(42, 7, 9),
@@ -644,9 +672,7 @@ mod tests {
                 stall: Some(StallBreakdown::from_envelope(
                     10_000_000, 1_000_000, 8_000_000, 5_000_000,
                 )),
-                attribution: Some(StallAttribution::from_measured(
-                    10_000_000, 5_000_000, 2_000_000, 500_000, 200_000, 100_000, 50_000,
-                )),
+                attribution: Some(StallAttribution::from_measured(10_000_000, &clocks())),
             }],
             pruning: Some(PruningReport {
                 mode: PruneMode::Distributed,
@@ -675,9 +701,7 @@ mod tests {
 
     #[test]
     fn attribution_phases_sum_to_the_makespan() {
-        let attr = StallAttribution::from_measured(
-            10_000_000, 5_000_000, 2_000_000, 500_000, 200_000, 100_000, 50_000,
-        );
+        let attr = StallAttribution::from_measured(10_000_000, &clocks());
         // prune_skip + simd_rescue are carved out of busy.
         assert_eq!(attr.compute_ns, 5_000_000 - 100_000 - 50_000);
         assert_eq!(attr.total_ns(), 10_000_000);
@@ -689,7 +713,14 @@ mod tests {
         );
         // Over-measured phases saturate instead of underflowing; the sum
         // then equals the measured time, never less than the phases.
-        let noisy = StallAttribution::from_measured(100, 300, 50, 0, 0, 0, 0);
+        let noisy = StallAttribution::from_measured(
+            100,
+            &PhaseClocks {
+                busy_ns: 300,
+                wait_input_ns: 50,
+                ..PhaseClocks::default()
+            },
+        );
         assert_eq!(noisy.other_ns, 0);
         assert_eq!(noisy.total_ns(), 350);
     }

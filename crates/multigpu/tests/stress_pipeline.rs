@@ -5,7 +5,7 @@
 
 use megasw_gpusim::{catalog, Platform};
 use megasw_multigpu::checkpoint::RecoveryPolicy;
-use megasw_multigpu::pipeline::{FaultPlan, PipelineRun, Semantics};
+use megasw_multigpu::pipeline::{FaultPhase, PipelineRun, ScheduledFault, Semantics};
 use megasw_multigpu::{CheckpointCadence, PartitionPolicy, RunConfig};
 use megasw_seq::{ChromosomeGenerator, DivergenceModel, GenerateConfig};
 use megasw_sw::traceback::anchored_best;
@@ -145,9 +145,10 @@ fn recovery_with_capacity_one_rings_terminates_and_stays_exact() {
                 .with_checkpoint(CheckpointCadence::EveryRows(4));
             PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
                 .config(cfg.clone())
-                .faults(FaultPlan {
+                .faults(ScheduledFault {
                     device: 1,
-                    fail_at_block_row: 30,
+                    block_row: 30,
+                    phase: FaultPhase::Compute,
                 })
                 .recover(RecoveryPolicy {
                     max_device_failures: 1,

@@ -503,6 +503,43 @@ fn rebalanced_des_mirror_is_structurally_sound() {
 }
 
 #[test]
+fn rebalanced_des_recovery_after_fault_is_structurally_sound() {
+    // The DES twin of the rebalance × recovery row: the same fault in the
+    // same rebalancing config must recover once, keep rebalancing, leave
+    // the dead device without a slab, and still tile every column.
+    for c in combos().into_iter().step_by(11) {
+        let run = DesSim::new(c.a.len(), c.b.len(), &c.platform)
+            .config(aggressive_rebalance(&c.cfg).with_pruning(PruneMode::Distributed))
+            .faults(ScheduledFault {
+                device: 1,
+                block_row: 6,
+                phase: FaultPhase::Compute,
+            })
+            .recover(RecoveryPolicy::default())
+            .run();
+        assert!(run.aborted.is_none(), "{}: {:?}", c.label, run.aborted);
+        assert_eq!(
+            run.report.recovery.as_ref().unwrap().recoveries,
+            1,
+            "{}",
+            c.label
+        );
+        assert!(run.report.rebalance.is_some(), "{}", c.label);
+        assert!(
+            run.report.devices.iter().all(|d| d.device != 1),
+            "{}: dead device still owns a slab",
+            c.label
+        );
+        let mut next_col = 1;
+        for d in &run.report.devices {
+            assert_eq!(d.slab_j0, next_col, "{}", c.label);
+            next_col += d.slab_width;
+        }
+        assert_eq!(next_col, c.b.len() + 1, "{}", c.label);
+    }
+}
+
+#[test]
 fn threaded_and_des_agree_on_the_partition() {
     // Both backends derive slabs from the same partitioner; their
     // per-device column assignments must be identical.

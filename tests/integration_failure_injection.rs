@@ -32,9 +32,10 @@ fn every_device_and_phase_fails_cleanly() {
         for row in [0, 1, rows / 2, rows - 1] {
             let err = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
                 .config(cfg.clone())
-                .faults(FaultPlan {
+                .faults(ScheduledFault {
                     device,
-                    fail_at_block_row: row,
+                    block_row: row,
+                    phase: FaultPhase::Compute,
                 })
                 .run()
                 .expect_err("faulted run must not succeed");
@@ -62,9 +63,10 @@ fn fault_with_tiny_buffers_does_not_deadlock() {
                 .with_buffer_capacity(1);
             PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
                 .config(cfg.clone())
-                .faults(FaultPlan {
+                .faults(ScheduledFault {
                     device: 1,
-                    fail_at_block_row: 40,
+                    block_row: 40,
+                    phase: FaultPhase::Compute,
                 })
                 .run()
         },
@@ -80,9 +82,10 @@ fn fault_on_nonexistent_device_is_harmless() {
     let want = gotoh_best(a.codes(), b.codes(), &cfg.scheme);
     let report = PipelineRun::new(a.codes(), b.codes(), &Platform::env1())
         .config(cfg.clone())
-        .faults(FaultPlan {
+        .faults(ScheduledFault {
             device: 99,
-            fail_at_block_row: 0,
+            block_row: 0,
+            phase: FaultPhase::Compute,
         })
         .run()
         .unwrap();
@@ -96,9 +99,10 @@ fn fault_past_last_row_never_triggers() {
     let rows = a.len().div_ceil(cfg.block_h);
     let report = PipelineRun::new(a.codes(), b.codes(), &Platform::env1())
         .config(cfg.clone())
-        .faults(FaultPlan {
+        .faults(ScheduledFault {
             device: 0,
-            fail_at_block_row: rows + 10,
+            block_row: rows + 10,
+            phase: FaultPhase::Compute,
         })
         .run()
         .unwrap();
@@ -111,9 +115,10 @@ fn single_device_fault_reports_directly() {
     let cfg = RunConfig::paper_default().with_block(64);
     let err = PipelineRun::new(a.codes(), b.codes(), &Platform::single(catalog::gtx680()))
         .config(cfg.clone())
-        .faults(FaultPlan {
+        .faults(ScheduledFault {
             device: 0,
-            fail_at_block_row: 2,
+            block_row: 2,
+            phase: FaultPhase::Compute,
         })
         .run()
         .unwrap_err();
@@ -127,9 +132,10 @@ fn successive_runs_after_a_fault_are_unaffected() {
     let cfg = RunConfig::paper_default().with_block(64);
     let _ = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
         .config(cfg.clone())
-        .faults(FaultPlan {
+        .faults(ScheduledFault {
             device: 1,
-            fail_at_block_row: 3,
+            block_row: 3,
+            phase: FaultPhase::Compute,
         })
         .run();
     let clean = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())

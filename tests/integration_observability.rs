@@ -209,9 +209,10 @@ fn builder_variants_stay_bit_identical_to_the_plain_run() {
         );
 
         // A plan that never fires: the fault path must not perturb results.
-        let plan = FaultPlan {
+        let plan = ScheduledFault {
             device: 0,
-            fail_at_block_row: usize::MAX,
+            block_row: usize::MAX,
+            phase: FaultPhase::Compute,
         };
         let with_faults = PipelineRun::new(a.codes(), b.codes(), &platform)
             .config(cfg.clone())
