@@ -13,6 +13,12 @@
 //! * sequence `b` is stored **reversed** so that ascending lane index `k`
 //!   maps to the descending column `l = d − k` with a single contiguous
 //!   load;
+//! * a diagonal runs as full-lane vector chunks from its first row; when
+//!   its length is not a multiple of the lane count, one more **overlapped
+//!   chunk** ends exactly at its last row and recomputes a few cells of
+//!   the chunk before it. Recomputing is idempotent, because a cell reads
+//!   only diagonals `d−1` and `d−2`. Only the corner diagonals shorter
+//!   than one vector run scalar;
 //! * scores are **rebased** against the tile's corner value (`bias =
 //!   top.h[0]`): all arithmetic is saturating i16 on `value − bias`, so
 //!   tiles whose absolute scores are far beyond `i16::MAX` (megabase
@@ -276,6 +282,36 @@ fn clamp16(v: i32) -> i16 {
     v.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
 }
 
+/// Overflow pre-scan: the largest score change any single DP step can make,
+/// times the longest in-tile path plus slack, bounds how far any in-tile
+/// value can drift from the border extremes. `false` when that drift could
+/// leave the i16 band, so the tile is rescued before anything is computed.
+/// The bound is directional: a step can only *raise* a score by the match
+/// bonus, but can *lower* it by a fresh gap open+extend or a mismatch — so
+/// high-bias drift uses the (usually much smaller) match step and large
+/// tiles stay vectorized far longer than a symmetric bound allows.
+fn fits_band(input: BlockInput<'_>, scheme: &ScoreScheme) -> bool {
+    let bias = i64::from(input.top.h[0]);
+    let path = (input.a_rows.len() + input.b_cols.len() + 4) as i64;
+    let margin_up = path * i64::from(scheme.match_score);
+    let margin_down = path
+        * (i64::from(scheme.gap_open) + i64::from(scheme.gap_extend))
+            .max(-i64::from(scheme.mismatch_score));
+    let mut lo = bias;
+    let mut hi = bias;
+    for &v in input.top.h.iter().chain(input.left.h.iter()) {
+        lo = lo.min(i64::from(v));
+        hi = hi.max(i64::from(v));
+    }
+    for &v in input.top.f.iter().chain(input.left.e.iter()) {
+        if v > NEG_INF / 2 {
+            lo = lo.min(i64::from(v));
+            hi = hi.max(i64::from(v));
+        }
+    }
+    hi - bias + margin_up <= BAND && bias - lo + margin_down <= BAND
+}
+
 /// Compute one tile with the anti-diagonal wavefront, or return `None` when
 /// the i16 band cannot hold it (the caller re-runs the tile in scalar i32).
 ///
@@ -302,36 +338,10 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     );
     debug_assert!(input.row_offset >= 1 && input.col_offset >= 1);
 
-    let bias = i64::from(input.top.h[0]);
-
-    // Overflow pre-scan: the largest score change any single DP step can
-    // make, times the longest in-tile path plus slack, bounds how far any
-    // in-tile value can drift from the border extremes. If that drift could
-    // leave the i16 band, rescue to scalar before computing anything. The
-    // bound is directional: a step can only *raise* a score by the match
-    // bonus, but can *lower* it by a fresh gap open+extend or a mismatch —
-    // so high-bias drift uses the (usually much smaller) match step and
-    // large tiles stay vectorized far longer than a symmetric bound allows.
-    let path = (bh + bw + 4) as i64;
-    let margin_up = path * i64::from(scheme.match_score);
-    let margin_down = path
-        * (i64::from(scheme.gap_open) + i64::from(scheme.gap_extend))
-            .max(-i64::from(scheme.mismatch_score));
-    let mut lo = bias;
-    let mut hi = bias;
-    for &v in input.top.h.iter().chain(input.left.h.iter()) {
-        lo = lo.min(i64::from(v));
-        hi = hi.max(i64::from(v));
-    }
-    for &v in input.top.f.iter().chain(input.left.e.iter()) {
-        if v > NEG_INF / 2 {
-            lo = lo.min(i64::from(v));
-            hi = hi.max(i64::from(v));
-        }
-    }
-    if hi - bias + margin_up > BAND || bias - lo + margin_down > BAND {
+    if !fits_band(input, scheme) {
         return None;
     }
+    let bias = i64::from(input.top.h[0]);
 
     let lanes = E::LANES;
     let open_ext = scheme.gap_open + scheme.gap_extend;
@@ -413,46 +423,62 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         let mut v_dmin = E::splat(i16::MAX);
         let mut s_dmax: i32 = i32::from(NEG_INF16);
 
-        // Full-lane chunks. Every lane is a real cell — the ragged tail
-        // runs scalar below — so no masking is needed and the min/max
-        // accumulators never see garbage.
-        let mut k = klo;
-        while k < kend {
-            let hd = E::loadu(hp2.as_ptr().add(k - 1));
-            let hu = E::loadu(hp1.as_ptr().add(k - 1));
-            let hl = E::loadu(hp1.as_ptr().add(k));
-            let fv = E::max(
-                E::subs(E::loadu(fp.as_ptr().add(k - 1)), v_ext),
-                E::subs(hu, v_oe),
-            );
-            let ev = E::max(
-                E::subs(E::loadu(ep.as_ptr().add(k)), v_ext),
-                E::subs(hl, v_oe),
-            );
-            let va = E::loadu(a16.as_ptr().add(k - 1));
-            let vb = E::loadu(b_rev16.as_ptr().add(bw + k - d));
-            let mm = E::and(E::cmpeq(va, vb), E::cmpgt(v_four, va));
-            let sub = E::blendv(v_mis, v_match, mm);
-            let mut hv = E::adds(hd, sub);
-            hv = E::max(hv, ev);
-            hv = E::max(hv, fv);
-            if LOCAL {
-                hv = E::max(hv, v_floor);
+        // Vector chunks, when the diagonal holds at least one full vector.
+        // Chunks step by `lanes` from klo up to `kend`; if cells remain, one
+        // more chunk is pulled back to end exactly at khi, so the
+        // `span % lanes` leftover cells run as a vector, not scalar. Its
+        // first lanes recompute cells of the previous chunk: a cell reads
+        // only diagonals d−1 and d−2, which this loop never writes, so the
+        // recomputed values equal the stored ones. Every lane is a real
+        // cell, so no masking is needed and the min/max accumulators never
+        // see garbage.
+        let scalar_from = if span >= lanes {
+            let last = khi + 1 - lanes;
+            let mut k = klo;
+            loop {
+                let hd = E::loadu(hp2.as_ptr().add(k - 1));
+                let hu = E::loadu(hp1.as_ptr().add(k - 1));
+                let hl = E::loadu(hp1.as_ptr().add(k));
+                let fv = E::max(
+                    E::subs(E::loadu(fp.as_ptr().add(k - 1)), v_ext),
+                    E::subs(hu, v_oe),
+                );
+                let ev = E::max(
+                    E::subs(E::loadu(ep.as_ptr().add(k)), v_ext),
+                    E::subs(hl, v_oe),
+                );
+                let va = E::loadu(a16.as_ptr().add(k - 1));
+                let vb = E::loadu(b_rev16.as_ptr().add(bw + k - d));
+                let mm = E::and(E::cmpeq(va, vb), E::cmpgt(v_four, va));
+                let sub = E::blendv(v_mis, v_match, mm);
+                let mut hv = E::adds(hd, sub);
+                hv = E::max(hv, ev);
+                hv = E::max(hv, fv);
+                if LOCAL {
+                    hv = E::max(hv, v_floor);
+                }
+                E::storeu(hc.as_mut_ptr().add(k), hv);
+                E::storeu(ec.as_mut_ptr().add(k), ev);
+                E::storeu(fc.as_mut_ptr().add(k), fv);
+                v_dmax = E::max(v_dmax, hv);
+                v_dmin = E::min(v_dmin, hv);
+                if k == last {
+                    break;
+                }
+                k = (k + lanes).min(last);
             }
-            E::storeu(hc.as_mut_ptr().add(k), hv);
-            E::storeu(ec.as_mut_ptr().add(k), ev);
-            E::storeu(fc.as_mut_ptr().add(k), fv);
-            v_dmax = E::max(v_dmax, hv);
-            v_dmin = E::min(v_dmin, hv);
-            k += lanes;
-        }
+            khi + 1
+        } else {
+            klo
+        };
         // Band accumulators merge once per diagonal, not per step.
         v_maxall = E::max(v_maxall, v_dmax);
         v_minall = E::min(v_minall, v_dmin);
-        // Scalar tail in i32, clamped at store: identical to the saturating
-        // lanes because real arms always stay in band and NEG_INF16-derived
-        // arms always lose the max (see module docs).
-        for k in kend..=khi {
+        // Corner diagonals shorter than one vector run scalar in i32,
+        // clamped at store: identical to the saturating lanes because real
+        // arms always stay in band and NEG_INF16-derived arms always lose
+        // the max (see module docs).
+        for k in scalar_from..=khi {
             let hd = i32::from(hp2[k - 1]);
             let hu = i32::from(hp1[k - 1]);
             let hl = i32::from(hp1[k]);
@@ -499,6 +525,12 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         // degenerates to scalar speed on homologous inputs, where the score
         // climbs on almost every diagonal — locate the first lane equal to
         // the max with a vector compare.
+        //
+        // The vector scan stops at `kend`, the end of the last full-lane
+        // chunk from klo; the `find` covers `kend..=khi`, which the
+        // overlapped chunk (or, on a corner diagonal, the scalar loop) has
+        // filled. A scan chunk starting at or past `kend` would load slots
+        // past khi, and past the end of `hc` on diagonals that reach row bh.
         //
         // On a tile that ends up out of band, `dmax as i16` may not match
         // any lane; the candidate (or the whole best) is garbage either
@@ -707,6 +739,7 @@ pub(crate) fn sse41_kernel() -> &'static dyn Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use megasw_seq::rng::ChaCha8Rng;
     use megasw_seq::{ChromosomeGenerator, DivergenceModel, GenerateConfig};
 
     fn engines() -> Vec<(&'static str, &'static dyn Kernel)> {
@@ -718,6 +751,14 @@ mod tests {
             out.push(("sse41", sse41_kernel()));
         }
         out
+    }
+
+    fn lanes_of(name: &str) -> usize {
+        match name {
+            "avx2" => Avx2::LANES,
+            "sse41" => Sse41::LANES,
+            _ => unreachable!(),
+        }
     }
 
     fn run_wave(
@@ -746,6 +787,27 @@ mod tests {
         }
     }
 
+    /// Borders of a tile in the matrix's first block-row and block-column:
+    /// all-zero for local semantics, the gap-from-origin boundary for
+    /// anchored.
+    fn origin_borders(
+        local: bool,
+        h: usize,
+        w: usize,
+        row: usize,
+        col: usize,
+        scheme: &ScoreScheme,
+    ) -> (RowBorder, ColBorder) {
+        if local {
+            (RowBorder::zero(w), ColBorder::zero(h))
+        } else {
+            (
+                RowBorder::anchored(w, col, scheme),
+                ColBorder::anchored(h, row, scheme),
+            )
+        }
+    }
+
     #[test]
     fn wave_matches_scalar_on_whole_matrix_tiles() {
         for (bh, bw, seed) in [
@@ -759,14 +821,7 @@ mod tests {
             let b = ChromosomeGenerator::new(GenerateConfig::sized(bw, seed + 77)).generate();
             for scheme in [ScoreScheme::cudalign(), ScoreScheme::lenient()] {
                 for local in [true, false] {
-                    let (top, left) = if local {
-                        (RowBorder::zero(bw), ColBorder::zero(bh))
-                    } else {
-                        (
-                            RowBorder::anchored(bw, 1, &scheme),
-                            ColBorder::anchored(bh, 1, &scheme),
-                        )
-                    };
+                    let (top, left) = origin_borders(local, bh, bw, 1, 1, &scheme);
                     let input = BlockInput {
                         a_rows: a.codes(),
                         b_cols: b.codes(),
@@ -796,14 +851,7 @@ mod tests {
         let (b, _) = DivergenceModel::test_scale(0x51_02).apply(&a);
         let (si, sj) = (130usize, 120usize);
         for local in [true, false] {
-            let (top0, left0) = if local {
-                (RowBorder::zero(sj), ColBorder::zero(si))
-            } else {
-                (
-                    RowBorder::anchored(sj, 1, &scheme),
-                    ColBorder::anchored(si, 1, &scheme),
-                )
-            };
+            let (top0, left0) = origin_borders(local, si, sj, 1, 1, &scheme);
             let t00 = scalar_out(
                 local,
                 BlockInput {
@@ -816,14 +864,8 @@ mod tests {
                 },
                 &scheme,
             );
-            let (top01, left10) = if local {
-                (RowBorder::zero(b.len() - sj), ColBorder::zero(a.len() - si))
-            } else {
-                (
-                    RowBorder::anchored(b.len() - sj, sj + 1, &scheme),
-                    ColBorder::anchored(a.len() - si, si + 1, &scheme),
-                )
-            };
+            let (top01, left10) =
+                origin_borders(local, a.len() - si, b.len() - sj, si + 1, sj + 1, &scheme);
             let t01 = scalar_out(
                 local,
                 BlockInput {
@@ -959,6 +1001,408 @@ mod tests {
         for (name, kernel) in engines() {
             let got = kernel.best(a.codes(), a.codes(), &scheme);
             assert_eq!(got, want, "{name}");
+        }
+    }
+
+    /// One differential case: a tile with its borders and semantics, built
+    /// from a seed and a shape alone, so a failure replays from its message.
+    struct Case {
+        a: Vec<u8>,
+        b: Vec<u8>,
+        top: RowBorder,
+        left: ColBorder,
+        row_offset: usize,
+        col_offset: usize,
+        local: bool,
+        scheme: ScoreScheme,
+        what: String,
+    }
+
+    impl Case {
+        fn input(&self) -> BlockInput<'_> {
+            BlockInput {
+                a_rows: &self.a,
+                b_cols: &self.b,
+                top: &self.top,
+                left: &self.left,
+                row_offset: self.row_offset,
+                col_offset: self.col_offset,
+            }
+        }
+    }
+
+    /// `n` base codes, N (code 4) at rate `n_rate`.
+    fn random_codes(rng: &mut ChaCha8Rng, n: usize, n_rate: f64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                if rng.gen::<f64>() < n_rate {
+                    4
+                } else {
+                    rng.gen_range(0u8..4)
+                }
+            })
+            .collect()
+    }
+
+    /// `src` with substitutions (N among them) at rate `rate`: two copies of
+    /// one source score like a homologous pair, so the best cell climbs.
+    fn diverged(rng: &mut ChaCha8Rng, src: &[u8], rate: f64) -> Vec<u8> {
+        src.iter()
+            .map(|&c| {
+                if rng.gen::<f64>() < rate {
+                    rng.gen_range(0u8..5)
+                } else {
+                    c
+                }
+            })
+            .collect()
+    }
+
+    /// Random in-band values `lo..=hi`.
+    fn band_value(rng: &mut ChaCha8Rng, lo: i64, hi: i64) -> Score {
+        (lo + i64::from(rng.gen_range(0u32..=(hi - lo) as u32))) as Score
+    }
+
+    /// Build the differential case for `(seed, bh, bw)`. The seed picks the
+    /// semantics (local or anchored), the scheme (`cudalign` or `lenient`),
+    /// the N rate, random or homologous sequences, and one of three border
+    /// kinds:
+    /// * `origin`: the matrix's own zero / anchored boundary, E/F all
+    ///   `NEG_INF`;
+    /// * `composed`: the bottom-right tile of a 2×2 split, its borders
+    ///   produced by scalar neighbour tiles, as the pipeline composes them;
+    /// * `band-edge`: synthetic borders spread over the whole range the
+    ///   pre-scan admits, with one value pinned at each band edge, E/F a
+    ///   mix of `NEG_INF` and real values, far from the matrix origin.
+    fn build_case(seed: u64, bh: usize, bw: usize) -> Case {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let local = rng.gen::<bool>();
+        let (scheme, scheme_name) = if rng.gen::<bool>() {
+            (ScoreScheme::cudalign(), "cudalign")
+        } else {
+            (ScoreScheme::lenient(), "lenient")
+        };
+        let n_rate = [0.0, 0.02, 0.3][rng.gen_range(0usize..3)];
+        let homologous = rng.gen::<bool>();
+        let kind = ["origin", "composed", "band-edge"][rng.gen_range(0usize..3)];
+        let (h0, w0) = if kind == "composed" {
+            (rng.gen_range(1usize..=48), rng.gen_range(1usize..=48))
+        } else {
+            (0, 0)
+        };
+        let (a_full, b_full) = if homologous {
+            let shift = rng.gen_range(0usize..=16);
+            let src = random_codes(&mut rng, (h0 + bh).max(w0 + bw) + 16, n_rate);
+            let a = diverged(&mut rng, &src[..h0 + bh], 0.08);
+            let b = diverged(&mut rng, &src[shift..shift + w0 + bw], 0.08);
+            (a, b)
+        } else {
+            (
+                random_codes(&mut rng, h0 + bh, n_rate),
+                random_codes(&mut rng, w0 + bw, n_rate),
+            )
+        };
+        let what = format!(
+            "seed={seed:#018x} shape={bh}x{bw} local={local} scheme={scheme_name} \
+             borders={kind} n_rate={n_rate} homologous={homologous}"
+        );
+        let (top, left, row_offset, col_offset) = match kind {
+            "origin" => {
+                let (top, left) = origin_borders(local, bh, bw, 1, 1, &scheme);
+                (top, left, 1, 1)
+            }
+            "composed" => {
+                let tile = |a: &[u8], b: &[u8], top: &RowBorder, left: &ColBorder, r, c| {
+                    let input = BlockInput {
+                        a_rows: a,
+                        b_cols: b,
+                        top,
+                        left,
+                        row_offset: r,
+                        col_offset: c,
+                    };
+                    scalar_out(local, input, &scheme)
+                };
+                let (top00, left00) = origin_borders(local, h0, w0, 1, 1, &scheme);
+                let t00 = tile(&a_full[..h0], &b_full[..w0], &top00, &left00, 1, 1);
+                let (top01, left10) = origin_borders(local, bh, bw, h0 + 1, w0 + 1, &scheme);
+                let t01 = tile(&a_full[..h0], &b_full[w0..], &top01, &t00.right, 1, w0 + 1);
+                let t10 = tile(
+                    &a_full[h0..],
+                    &b_full[..w0],
+                    &t00.bottom,
+                    &left10,
+                    h0 + 1,
+                    1,
+                );
+                (t01.bottom, t10.right, h0 + 1, w0 + 1)
+            }
+            _ => {
+                let path = (bh + bw + 4) as i64;
+                let up = BAND - path * i64::from(scheme.match_score);
+                let down = BAND
+                    - path
+                        * i64::from(scheme.gap_open + scheme.gap_extend)
+                            .max(-i64::from(scheme.mismatch_score));
+                assert!(up >= 0 && down >= 0, "{what}: shape too large for any band");
+                let bias = if local {
+                    i64::from(rng.gen_range(0u32..=2_000_000))
+                } else {
+                    i64::from(rng.gen_range(0u32..=4_000_000)) - 2_000_000
+                };
+                let (lo, hi) = (
+                    if local {
+                        (bias - down).max(0)
+                    } else {
+                        bias - down
+                    },
+                    bias + up,
+                );
+                let mut top_h: Vec<Score> =
+                    (0..=bw).map(|_| band_value(&mut rng, lo, hi)).collect();
+                let mut left_h: Vec<Score> =
+                    (0..=bh).map(|_| band_value(&mut rng, lo, hi)).collect();
+                top_h[0] = bias as Score;
+                left_h[0] = bias as Score;
+                let (edge_top, edge_left) = if rng.gen::<bool>() {
+                    (hi, lo)
+                } else {
+                    (lo, hi)
+                };
+                top_h[rng.gen_range(1..=bw)] = edge_top as Score;
+                left_h[rng.gen_range(1..=bh)] = edge_left as Score;
+                let mut aux = |n: usize| -> Vec<Score> {
+                    (0..=n)
+                        .map(|x| {
+                            if x == 0 || rng.gen::<bool>() {
+                                NEG_INF
+                            } else {
+                                band_value(&mut rng, lo, hi)
+                            }
+                        })
+                        .collect()
+                };
+                let top_f = aux(bw);
+                let left_e = aux(bh);
+                let row_offset = rng.gen_range(1usize..=1_000_000);
+                let col_offset = rng.gen_range(1usize..=1_000_000);
+                (
+                    RowBorder { h: top_h, f: top_f },
+                    ColBorder {
+                        h: left_h,
+                        e: left_e,
+                    },
+                    row_offset,
+                    col_offset,
+                )
+            }
+        };
+        Case {
+            a: a_full[h0..].to_vec(),
+            b: b_full[w0..].to_vec(),
+            top,
+            left,
+            row_offset,
+            col_offset,
+            local,
+            scheme,
+            what,
+        }
+    }
+
+    /// The first field where two tile outputs differ, short enough for a
+    /// panic message (a strip's borders run to thousands of values).
+    fn first_difference(got: &BlockOutput, want: &BlockOutput) -> String {
+        if got.best != want.best {
+            return format!("best {:?} != {:?}", got.best, want.best);
+        }
+        let fields = [
+            ("bottom.h", &got.bottom.h, &want.bottom.h),
+            ("bottom.f", &got.bottom.f, &want.bottom.f),
+            ("right.h", &got.right.h, &want.right.h),
+            ("right.e", &got.right.e, &want.right.e),
+        ];
+        for (field, g, w) in fields {
+            if let Some(x) = (0..g.len().max(w.len())).find(|&x| g.get(x) != w.get(x)) {
+                return format!("{field}[{x}] {:?} != {:?}", g.get(x), w.get(x));
+            }
+        }
+        format!("cells {} != {}", got.cells, want.cells)
+    }
+
+    #[test]
+    fn differential_sweep_matches_scalar_on_every_residue_and_border_kind() {
+        // Every available engine against the scalar tile kernel, whole
+        // `BlockOutput` compared. The shapes cover every (bh mod lanes,
+        // bw mod lanes) residue for sides 2·lanes ..< 4·lanes, so every
+        // ragged-span length meets the overlapped last chunk, then strips up
+        // to 512 × 4096 and random shapes. Every case the pre-scan admits
+        // must come back `Some` and exact; the rest must be refused.
+        const SEED: u64 = 0x5eed_0d1f_f000_0000;
+        let (tiles, side_max) = if cfg!(debug_assertions) {
+            (1_500, 160)
+        } else {
+            (12_000, 320)
+        };
+        for (e, (name, kernel)) in engines().into_iter().enumerate() {
+            let lanes = lanes_of(name);
+            let mut shapes: Vec<(usize, usize)> = (2 * lanes..4 * lanes)
+                .flat_map(|bh| (2 * lanes..4 * lanes).map(move |bw| (bh, bw)))
+                .collect();
+            shapes.extend([
+                (512, 4096),
+                (512, 2051),
+                (512, 512),
+                (2 * lanes + 1, 4096),
+                (4096, 2 * lanes + 3),
+            ]);
+            let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ e as u64);
+            while shapes.len() < tiles {
+                shapes.push((
+                    rng.gen_range(2 * lanes..=side_max),
+                    rng.gen_range(2 * lanes..=side_max),
+                ));
+            }
+            let (mut in_band, mut refused) = (0usize, 0usize);
+            for (x, &(bh, bw)) in shapes.iter().enumerate() {
+                let case = build_case(SEED ^ ((e as u64) << 40) ^ x as u64, bh, bw);
+                let input = case.input();
+                let want = scalar_out(case.local, input, &case.scheme);
+                let got = run_wave(name, case.local, input, &case.scheme);
+                if fits_band(input, &case.scheme) {
+                    in_band += 1;
+                    let got = got.unwrap_or_else(|| {
+                        panic!("engine={name} {}: in-band tile was rescued", case.what)
+                    });
+                    if got != want {
+                        panic!(
+                            "engine={name} {}: wave differs from scalar: {}",
+                            case.what,
+                            first_difference(&got, &want)
+                        );
+                    }
+                } else {
+                    refused += 1;
+                    assert!(
+                        got.is_none(),
+                        "engine={name} {}: out-of-band tile was not refused",
+                        case.what
+                    );
+                    let via = if case.local {
+                        kernel.block(input, &case.scheme)
+                    } else {
+                        kernel.block_anchored(input, &case.scheme)
+                    };
+                    assert!(
+                        via == want,
+                        "engine={name} {}: rescued tile differs from scalar: {}",
+                        case.what,
+                        first_difference(&via, &want)
+                    );
+                }
+            }
+            let floor = if cfg!(debug_assertions) {
+                1_000
+            } else {
+                10_000
+            };
+            assert!(
+                in_band >= floor,
+                "engine={name}: only {in_band} in-band tiles (want ≥ {floor})"
+            );
+            eprintln!("{name}: {in_band} in-band tiles exact, {refused} out-of-band refused");
+        }
+    }
+
+    #[test]
+    fn max_at_khi_beside_an_equal_border_slot_is_exact() {
+        // All-N sequences (every pair mismatches) and a left-border spike at
+        // tile row r = 2·lanes + 4. On diagonal d = r + 2 (klo = 1, khi =
+        // r + 1, span = 2·lanes + 5) the diagonal max is the single cell
+        // (r + 1, 1) = spike − 3, at k = khi: a ragged-tail cell that only
+        // the overlapped last chunk computes. The left border at row r + 2 —
+        // the slot just past khi, patched in after the diagonal — holds the
+        // same value as the diagonal max. The wave must report that cell.
+        let scheme = ScoreScheme::cudalign();
+        for (name, _) in engines() {
+            let lanes = lanes_of(name);
+            let n = 4 * lanes + 3;
+            let r = 2 * lanes + 4;
+            let spike: Score = 100;
+            let all_n = vec![4u8; n];
+            let top = RowBorder::zero(n);
+            let mut left = ColBorder::zero(n);
+            left.h[r] = spike;
+            left.h[r + 2] = spike + scheme.mismatch_score;
+            let input = BlockInput {
+                a_rows: &all_n,
+                b_cols: &all_n,
+                top: &top,
+                left: &left,
+                row_offset: 7,
+                col_offset: 11,
+            };
+            let want = scalar_out(true, input, &scheme);
+            assert_eq!(
+                want.best,
+                BestCell::new(spike + scheme.mismatch_score, 7 + r, 11),
+                "{name}: the tile's best must be the spike's diagonal cell"
+            );
+            let (k, d) = (r + 1, r + 2);
+            let (klo, khi) = (1, (d - 1).min(n));
+            let span = khi - klo + 1;
+            assert!(span >= lanes && span % lanes != 0 && k == khi);
+            assert!(
+                k >= klo + span - span % lanes,
+                "the max must be a tail cell"
+            );
+            assert_eq!(left.h[khi + 1], want.best.score);
+            let got = run_wave(name, true, input, &scheme)
+                .unwrap_or_else(|| panic!("{name}: unexpected rescue"));
+            assert!(got == want, "{name}: {}", first_difference(&got, &want));
+        }
+    }
+
+    #[test]
+    fn dispatch_threshold_is_vector_min_on_the_short_side() {
+        // A tile whose top border sits 29_000 above its corner is out of
+        // band, so a kernel that tries the wave on it records exactly one
+        // thread-local rescue; one that goes straight to scalar records
+        // none. That makes the dispatch decision observable at the
+        // threshold on either side, while the output stays scalar-exact.
+        let scheme = ScoreScheme::cudalign();
+        for (name, kernel) in engines() {
+            let lanes = lanes_of(name);
+            let long = 3 * lanes + 5;
+            for (short, wave_runs) in [(vector_min(lanes) - 1, false), (vector_min(lanes), true)] {
+                for (bh, bw) in [(short, long), (long, short)] {
+                    let a = ChromosomeGenerator::new(GenerateConfig::sized(bh, 0x55_01)).generate();
+                    let b = ChromosomeGenerator::new(GenerateConfig::sized(bw, 0x55_02)).generate();
+                    let left = ColBorder::zero(bh);
+                    let mut far_top = RowBorder::zero(bw);
+                    far_top.h[bw] = 29_000;
+                    for (top, in_band) in [(RowBorder::zero(bw), true), (far_top, false)] {
+                        let input = BlockInput {
+                            a_rows: a.codes(),
+                            b_cols: b.codes(),
+                            top: &top,
+                            left: &left,
+                            row_offset: 1,
+                            col_offset: 1,
+                        };
+                        let want = scalar_out(true, input, &scheme);
+                        let before = crate::kernel::simd_rescues_thread();
+                        let got = kernel.block(input, &scheme);
+                        let rescued = crate::kernel::simd_rescues_thread() - before;
+                        let what = format!("{name} {bh}x{bw} in_band={in_band}");
+                        assert_eq!(got, want, "{what}");
+                        assert_eq!(rescued, u64::from(wave_runs && !in_band), "{what}");
+                        if wave_runs && in_band {
+                            assert_eq!(run_wave(name, true, input, &scheme), Some(want), "{what}");
+                        }
+                    }
+                }
+            }
         }
     }
 }
