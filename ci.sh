@@ -47,7 +47,8 @@ cargo test -q -p megasw --test integration_conformance -- \
 cargo test -q -p megasw --test integration_conformance -- \
     rebalanced_threaded_pipeline_stays_bit_identical_on_sampled_combos \
     rebalanced_recovery_after_fault_stays_bit_identical \
-    rebalanced_des_mirror_is_structurally_sound
+    rebalanced_des_mirror_is_structurally_sound \
+    work_counts_cover_the_whole_matrix_across_segments_and_rewinds
 
 # Kernel-dispatch conformance: the full matrix under the default Auto
 # dispatch ran as part of the workspace suite above; re-run the pipeline
@@ -59,8 +60,21 @@ MEGASW_KERNEL=scalar cargo test -q -p megasw --test integration_conformance -- \
     pruned_threaded_pipeline_stays_bit_identical_on_every_combo
 cargo test -q -p megasw --test integration_conformance -- \
     every_dispatch_mode_is_bit_identical_on_sampled_combos \
+    every_dispatch_mode_is_bit_identical_on_wide_tiles \
     every_dispatch_mode_survives_fault_recovery_bit_identically \
     forced_scalar_equals_auto_on_random_megabase_windows
+# The pipeline rows again with Auto pinned to the AVX-512BW engine, where
+# the host has it: its dispatch runs tiles 32-63 a side on the AVX2 wave,
+# so the combos' small tiles exercise both waves inside one engine. There
+# Auto no longer resolves to AVX2, so the AVX2 engine gets its own
+# full-matrix row too.
+if grep -q avx512bw /proc/cpuinfo 2>/dev/null; then
+    for engine in avx512 avx2; do
+        MEGASW_KERNEL=$engine cargo test -q -p megasw --test integration_conformance -- \
+            threaded_pipeline_matches_reference_on_every_combo \
+            pruned_threaded_pipeline_stays_bit_identical_on_every_combo
+    done
+fi
 
 # Chaos suite: deterministic seeded fault schedules through both backends
 # (bit-identity under recovery, auto-shrunk repros on failure), plus an
@@ -188,14 +202,28 @@ grep -q '"name": "service.env2.3gpu".*"service": {"jobs": 22' BENCH_ci.json || {
     --min-gcups rebalance.env2.3gpu=110 \
     crates/bench/fixtures/BENCH_baseline.json BENCH_ci.json
 # SIMD throughput floor, only where the wide engine exists. On a quiet
-# 2-core Xeon the anchor runs ~9-11 GCUPS with AVX2 and ~0.75 with the
-# scalar engine forced; the 0.8 floor sits just above that scalar rate, so
-# a dispatch regression (silently losing the SIMD path) fails it, and
-# leaves >10× headroom for shared CI hosts that throttle.
+# 2-core Xeon the anchor runs ~9-11 GCUPS with AVX2, ~14 with AVX-512BW and
+# ~0.75 with the scalar engine forced; the 0.8 floor sits just above that
+# scalar rate, so a dispatch regression (silently losing the SIMD path)
+# fails it, and leaves >10× headroom for shared CI hosts that throttle.
+# Because the floor is that close to the scalar rate, the same anchor is
+# also measured with the scalar engine forced in this job: the Auto run
+# must beat it by at least 4× (about 13× with AVX2 and 19× with
+# AVX-512BW on that Xeon), a ratio that does not depend on the host's
+# speed.
 if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
     ./target/release/bench-diff --shape-only \
         --min-gcups pipeline.env1.2gpu=0.8 \
         crates/bench/fixtures/BENCH_baseline.json BENCH_ci.json
+    MEGASW_KERNEL=scalar MEGASW_BENCH_SAMPLES=1 \
+        ./target/release/bench-artifact BENCH_ci_scalar.json
+    simd=$(anchor_median pipeline.env1.2gpu BENCH_ci.json)
+    scalar=$(anchor_median pipeline.env1.2gpu BENCH_ci_scalar.json)
+    if ! awk -v s="$simd" -v c="$scalar" 'BEGIN { exit !(s != "" && c > 0 && s >= 4 * c) }'; then
+        echo "ci: FAIL — pipeline.env1.2gpu Auto '$simd' GCUPS is not 4x forced scalar '$scalar'" >&2
+        exit 1
+    fi
+    rm -f BENCH_ci_scalar.json
 fi
 rm -f BENCH_ci.json
 

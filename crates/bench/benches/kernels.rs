@@ -16,6 +16,7 @@ fn engines() -> Vec<(&'static str, &'static dyn Kernel)> {
         KernelDispatch::ForceScalar,
         KernelDispatch::ForceSse41,
         KernelDispatch::ForceAvx2,
+        KernelDispatch::ForceAvx512,
     ]
     .into_iter()
     .filter_map(|d| kernel::select(d).ok().map(|k| (d.name(), k)))

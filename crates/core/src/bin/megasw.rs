@@ -125,7 +125,8 @@ platform flags:
   --capacity N      ring capacity in borders (default 8)
 
 kernel-policy flags (compare, align, simulate, tune):
-  --kernel ENGINE   DP engine: auto | scalar | sse41 | avx2 (default auto);
+  --kernel ENGINE   DP engine: auto | scalar | sse41 | avx2 | avx512
+                    (default auto);
                     auto picks the widest SIMD engine the CPU supports,
                     forcing an unsupported engine is an error — every
                     engine returns bit-identical results
@@ -1580,6 +1581,7 @@ mod tests {
             ("scalar", KernelDispatch::ForceScalar),
             ("sse41", KernelDispatch::ForceSse41),
             ("avx2", KernelDispatch::ForceAvx2),
+            ("avx512", KernelDispatch::ForceAvx512),
         ] {
             let mut s = stream(&["--kernel", spec]);
             let cp = cli_policy::parse(&mut s).unwrap();

@@ -17,7 +17,10 @@
 //! Each segment also carries the depositing worker's **pruning watermark**
 //! (DESIGN.md §10), so a resumed attempt can seed its workers with the
 //! best-score knowledge the failed attempt had already propagated — pruning
-//! composes with recovery instead of restarting cold.
+//! composes with recovery instead of restarting cold — and its running
+//! [`WorkCounts`], so a run that resumes from a wave (after a rebalance
+//! boundary or a fault rewind) still reports counts over the whole matrix,
+//! each row counted once.
 //!
 //! The store is deliberately dumb: a mutex around per-attempt logs. It is
 //! written once per device per checkpoint wave — far off the per-block hot
@@ -27,6 +30,7 @@
 //! recovering run keeps one full-width wave plus the partial waves in
 //! flight instead of every wave it ever took.
 
+use megasw_sw::kernel::PathCounts;
 use megasw_sw::{BestCell, Score};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -59,16 +63,56 @@ pub(crate) fn recovery_interval(config: &crate::config::RunConfig) -> Result<usi
     })
 }
 
+/// Per-tile work counters a run reports as whole-run totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Tiles skipped via the pruning bound.
+    pub tiles_pruned: u64,
+    /// Tiles considered (pruned + computed).
+    pub tiles_total: u64,
+    /// DP cells covered by skipped tiles.
+    pub cells_skipped: u128,
+    /// Tiles per kernel dispatch path (`rescued` counts the SIMD→scalar
+    /// rescue re-runs).
+    pub kernel_paths: PathCounts,
+}
+
+impl std::ops::Add for WorkCounts {
+    type Output = WorkCounts;
+    fn add(self, o: WorkCounts) -> WorkCounts {
+        WorkCounts {
+            tiles_pruned: self.tiles_pruned + o.tiles_pruned,
+            tiles_total: self.tiles_total + o.tiles_total,
+            cells_skipped: self.cells_skipped + o.cells_skipped,
+            kernel_paths: self.kernel_paths + o.kernel_paths,
+        }
+    }
+}
+
+impl std::iter::Sum for WorkCounts {
+    fn sum<I: Iterator<Item = WorkCounts>>(iter: I) -> WorkCounts {
+        iter.fold(WorkCounts::default(), |acc, c| acc + c)
+    }
+}
+
+/// What a slab deposits with its border lanes: the best cell its device
+/// has seen since its attempt started, its pruning watermark at deposit
+/// time, and its work counters since its attempt started.
+#[derive(Debug, Clone, Copy)]
+pub struct SlabTally {
+    pub best: BestCell,
+    pub watermark: Score,
+    pub counts: WorkCounts,
+}
+
 /// One slab's contribution to a checkpoint wave: its segment of the bottom
 /// border (H and F lanes, `width + 1` entries including the shared corner)
-/// plus the best cell this device has seen since its attempt started and
-/// its pruning watermark at deposit time.
+/// plus its [`SlabTally`].
 #[derive(Debug, Clone)]
 struct SlabCkpt {
     h: Vec<Score>,
     f: Vec<Score>,
-    best: BestCell,
-    watermark: Score,
+    tally: SlabTally,
 }
 
 /// The geometry a slab occupied when its attempt started; `j0` is the
@@ -89,6 +133,8 @@ struct AttemptLog {
     /// Best cell already established before this attempt began (merged
     /// from the checkpoint the attempt resumed from).
     base_best: BestCell,
+    /// Work counted over the rows above `start_row`.
+    base_counts: WorkCounts,
     slabs: Vec<SlabGeom>,
     /// wave → per-slab contributions (indexed like `slabs`).
     waves: BTreeMap<usize, Vec<Option<SlabCkpt>>>,
@@ -110,6 +156,8 @@ pub struct Checkpoint {
     /// it never exceeds the true global best and is safe to seed resumed
     /// workers with (see DESIGN.md §10).
     pub watermark: Score,
+    /// Work counted over all rows above the border.
+    pub counts: WorkCounts,
 }
 
 /// Host-side store of border checkpoints, shared by the coordinator and
@@ -138,18 +186,20 @@ impl CheckpointStore {
 
     /// Open the log for a new attempt covering `slabs` (as `(j0, width)`
     /// pairs in chain order) from `start_row`, with `base_best` already
-    /// established above the resume border. Returns the attempt id to pass
-    /// to [`CheckpointStore::record`].
+    /// established and `base_counts` already counted above the resume
+    /// border. Returns the attempt id to pass to [`CheckpointStore::record`].
     pub fn begin_attempt(
         &self,
         start_row: usize,
         base_best: BestCell,
+        base_counts: WorkCounts,
         slabs: &[(usize, usize)],
     ) -> usize {
         let mut inner = self.inner.lock().unwrap();
         inner.attempts.push(AttemptLog {
             start_row,
             base_best,
+            base_counts,
             slabs: slabs
                 .iter()
                 .map(|&(j0, width)| SlabGeom { j0, width })
@@ -160,9 +210,8 @@ impl CheckpointStore {
     }
 
     /// Deposit slab `slab_idx`'s segment for `wave`: the `(H, F)` lanes of
-    /// its bottom border (`width + 1` entries each), the device's running
-    /// best since the attempt started, and its current pruning watermark
-    /// (0 when pruning is off).
+    /// its bottom border (`width + 1` entries each) and its [`SlabTally`]
+    /// (watermark 0 when pruning is off).
     ///
     /// Takes slices and copies under the store lock, so workers can reuse
     /// one per-lane scratch buffer across block-rows instead of allocating
@@ -173,8 +222,7 @@ impl CheckpointStore {
         wave: usize,
         slab_idx: usize,
         (h, f): (&[Score], &[Score]),
-        best: BestCell,
-        watermark: Score,
+        tally: SlabTally,
     ) {
         let mut inner = self.inner.lock().unwrap();
         inner.taken += 1;
@@ -186,8 +234,7 @@ impl CheckpointStore {
         entry[slab_idx] = Some(SlabCkpt {
             h: h.to_vec(),
             f: f.to_vec(),
-            best,
-            watermark,
+            tally,
         });
         if entry.iter().all(Option::is_some) {
             // `newest_complete` can never serve a wave older than this
@@ -242,14 +289,16 @@ impl CheckpointStore {
         let mut f = vec![0; self.n + 1];
         let mut best = log.base_best;
         let mut watermark = log.base_best.score;
+        let mut counts = log.base_counts;
         for (geom, seg) in log.slabs.iter().zip(segs.iter()) {
             let seg = seg.as_ref().expect("complete wave has every segment");
             // Slab segments overlap at shared corners; both writers hold
             // the same value, so last-write-wins is harmless.
             h[geom.j0 - 1..=geom.j0 - 1 + geom.width].copy_from_slice(&seg.h);
             f[geom.j0 - 1..=geom.j0 - 1 + geom.width].copy_from_slice(&seg.f);
-            best = best.merge(seg.best);
-            watermark = watermark.max(seg.watermark);
+            best = best.merge(seg.tally.best);
+            watermark = watermark.max(seg.tally.watermark);
+            counts = counts + seg.tally.counts;
         }
         Some(Checkpoint {
             wave,
@@ -257,6 +306,7 @@ impl CheckpointStore {
             f,
             best,
             watermark,
+            counts,
         })
     }
 }
@@ -269,6 +319,48 @@ mod tests {
         (vec![fill; width + 1], vec![fill - 1; width + 1])
     }
 
+    fn tally(best: BestCell, watermark: Score) -> SlabTally {
+        SlabTally {
+            best,
+            watermark,
+            counts: WorkCounts::default(),
+        }
+    }
+
+    fn counts(tiles_total: u64, tiles_pruned: u64) -> WorkCounts {
+        WorkCounts {
+            tiles_pruned,
+            tiles_total,
+            cells_skipped: u128::from(tiles_pruned) * 100,
+            kernel_paths: PathCounts {
+                wide: tiles_total - tiles_pruned - tiles_total / 4,
+                rescued: tiles_total / 4,
+                ..PathCounts::default()
+            },
+        }
+    }
+
+    #[test]
+    fn assembled_counts_add_the_base_and_every_segment() {
+        // A resumed attempt's wave counts the rows above its own start
+        // (the base) plus what each of its slabs deposited since.
+        let store = CheckpointStore::new(8);
+        let a = store.begin_attempt(2, BestCell::ZERO, counts(10, 3), &[(1, 4), (5, 4)]);
+        let (h, f) = seg(4, 1);
+        for (slab, c) in [(0, counts(6, 1)), (1, counts(8, 2))] {
+            let tally = SlabTally {
+                counts: c,
+                ..tally(BestCell::ZERO, 0)
+            };
+            store.record(a, 4, slab, (&h, &f), tally);
+        }
+        let ck = store.newest_complete().unwrap();
+        assert_eq!(ck.counts, counts(10, 3) + counts(6, 1) + counts(8, 2));
+        assert_eq!(ck.counts.tiles_total, 24);
+        assert_eq!(ck.counts.kernel_paths.wide, 13);
+        assert_eq!(ck.counts.kernel_paths.rescued, 5);
+    }
+
     #[test]
     fn empty_store_has_no_checkpoint() {
         let store = CheckpointStore::new(100);
@@ -279,20 +371,20 @@ mod tests {
     #[test]
     fn incomplete_wave_is_not_served() {
         let store = CheckpointStore::new(10);
-        let a = store.begin_attempt(0, BestCell::ZERO, &[(1, 6), (7, 4)]);
+        let a = store.begin_attempt(0, BestCell::ZERO, WorkCounts::default(), &[(1, 6), (7, 4)]);
         let (h, f) = seg(6, 5);
-        store.record(a, 4, 0, (&h, &f), BestCell::ZERO, 0);
+        store.record(a, 4, 0, (&h, &f), tally(BestCell::ZERO, 0));
         assert!(store.newest_complete().is_none());
     }
 
     #[test]
     fn complete_wave_assembles_full_width_lanes() {
         let store = CheckpointStore::new(10);
-        let a = store.begin_attempt(0, BestCell::ZERO, &[(1, 6), (7, 4)]);
+        let a = store.begin_attempt(0, BestCell::ZERO, WorkCounts::default(), &[(1, 6), (7, 4)]);
         let (h0, f0) = seg(6, 5);
         let (h1, f1) = seg(4, 9);
-        store.record(a, 4, 0, (&h0, &f0), BestCell::new(3, 2, 2), 3);
-        store.record(a, 4, 1, (&h1, &f1), BestCell::new(7, 3, 8), 7);
+        store.record(a, 4, 0, (&h0, &f0), tally(BestCell::new(3, 2, 2), 3));
+        store.record(a, 4, 1, (&h1, &f1), tally(BestCell::new(7, 3, 8), 7));
         let ck = store.newest_complete().unwrap();
         assert_eq!(ck.wave, 4);
         assert_eq!(ck.h.len(), 11);
@@ -308,16 +400,16 @@ mod tests {
     #[test]
     fn newest_complete_wave_wins_across_attempts() {
         let store = CheckpointStore::new(8);
-        let a0 = store.begin_attempt(0, BestCell::ZERO, &[(1, 4), (5, 4)]);
+        let a0 = store.begin_attempt(0, BestCell::ZERO, WorkCounts::default(), &[(1, 4), (5, 4)]);
         let (h, f) = seg(4, 1);
-        store.record(a0, 2, 0, (&h, &f), BestCell::ZERO, 0);
-        store.record(a0, 2, 1, (&h, &f), BestCell::ZERO, 0);
+        store.record(a0, 2, 0, (&h, &f), tally(BestCell::ZERO, 0));
+        store.record(a0, 2, 1, (&h, &f), tally(BestCell::ZERO, 0));
         // Attempt 0 also has a newer but incomplete wave.
-        store.record(a0, 4, 0, (&h, &f), BestCell::ZERO, 0);
+        store.record(a0, 4, 0, (&h, &f), tally(BestCell::ZERO, 0));
         // A second attempt (one surviving slab) completes wave 6.
-        let a1 = store.begin_attempt(2, BestCell::new(9, 1, 1), &[(1, 8)]);
+        let a1 = store.begin_attempt(2, BestCell::new(9, 1, 1), WorkCounts::default(), &[(1, 8)]);
         let (h8, f8) = seg(8, 2);
-        store.record(a1, 6, 0, (&h8, &f8), BestCell::ZERO, 4);
+        store.record(a1, 6, 0, (&h8, &f8), tally(BestCell::ZERO, 4));
         let ck = store.newest_complete().unwrap();
         assert_eq!(ck.wave, 6);
         assert_eq!(ck.h, vec![2; 9]);
@@ -331,20 +423,20 @@ mod tests {
     fn completed_wave_drops_every_older_wave_in_every_attempt() {
         let store = CheckpointStore::new(8);
         let (h, f) = seg(4, 1);
-        let a0 = store.begin_attempt(0, BestCell::ZERO, &[(1, 4), (5, 4)]);
-        store.record(a0, 2, 0, (&h, &f), BestCell::ZERO, 0);
-        store.record(a0, 2, 1, (&h, &f), BestCell::ZERO, 0);
-        store.record(a0, 4, 0, (&h, &f), BestCell::ZERO, 0);
+        let a0 = store.begin_attempt(0, BestCell::ZERO, WorkCounts::default(), &[(1, 4), (5, 4)]);
+        store.record(a0, 2, 0, (&h, &f), tally(BestCell::ZERO, 0));
+        store.record(a0, 2, 1, (&h, &f), tally(BestCell::ZERO, 0));
+        store.record(a0, 4, 0, (&h, &f), tally(BestCell::ZERO, 0));
         // Wave 2 is the newest complete; partial wave 4 rides along.
         assert_eq!(store.held_waves(), vec![(0, 2), (0, 4)]);
-        store.record(a0, 4, 1, (&h, &f), BestCell::ZERO, 0);
-        store.record(a0, 6, 1, (&h, &f), BestCell::ZERO, 0);
+        store.record(a0, 4, 1, (&h, &f), tally(BestCell::ZERO, 0));
+        store.record(a0, 6, 1, (&h, &f), tally(BestCell::ZERO, 0));
         assert_eq!(store.held_waves(), vec![(0, 4), (0, 6)]);
         // A resumed attempt completing a newer wave also drops attempt 0's
         // older waves, complete (4) and partial (6) alike.
-        let a1 = store.begin_attempt(4, BestCell::ZERO, &[(1, 8)]);
+        let a1 = store.begin_attempt(4, BestCell::ZERO, WorkCounts::default(), &[(1, 8)]);
         let (h8, f8) = seg(8, 2);
-        store.record(a1, 8, 0, (&h8, &f8), BestCell::new(5, 1, 1), 0);
+        store.record(a1, 8, 0, (&h8, &f8), tally(BestCell::new(5, 1, 1), 0));
         assert_eq!(store.held_waves(), vec![(1, 8)]);
         let ck = store.newest_complete().unwrap();
         assert_eq!(ck.wave, 8);

@@ -194,7 +194,8 @@ pub struct KernelPolicy {
     pub partition: PartitionPolicy,
     /// Checkpoint cadence (effective only under a recovery policy).
     pub checkpoint: CheckpointCadence,
-    /// Which DP engine executes tiles (scalar / SSE4.1 / AVX2 / auto).
+    /// Which DP engine executes tiles (scalar / SSE4.1 / AVX2 / AVX-512BW
+    /// / auto).
     pub dispatch: KernelDispatch,
     /// Live slab rebalancing at checkpoint boundaries.
     pub rebalance: RebalanceMode,

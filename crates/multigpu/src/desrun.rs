@@ -977,6 +977,7 @@ fn stopped_run(
             rebalance: st.rebalance,
             kernel: megasw_sw::KernelSelection::modeled(env.config.policy.dispatch),
             simd_rescues: 0,
+            kernel_paths: Default::default(),
         },
         schedule,
         memory: st.memory,
@@ -1158,6 +1159,7 @@ fn finalize(env: &DesEnv<'_>, st: Progress, graph: TaskGraph) -> DesRun {
         rebalance: st.rebalance,
         kernel: megasw_sw::KernelSelection::modeled(config.policy.dispatch),
         simd_rescues: 0,
+        kernel_paths: Default::default(),
     };
     DesRun {
         report,

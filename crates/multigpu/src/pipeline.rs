@@ -69,7 +69,9 @@
 //! position** (slab order), matching `RunReport::devices`.
 
 use crate::balance;
-use crate::checkpoint::{recovery_interval, Checkpoint, CheckpointStore, RecoveryPolicy};
+use crate::checkpoint::{
+    recovery_interval, Checkpoint, CheckpointStore, RecoveryPolicy, SlabTally, WorkCounts,
+};
 use crate::circbuf::{BorderMsg, CircularBuffer, RingError, RingStats};
 use crate::config::{PruneMode, RebalanceMode, RunConfig};
 use crate::error::MegaswError;
@@ -85,7 +87,7 @@ use megasw_obs::{
 use megasw_sw::block::{skip_block, BlockInput};
 use megasw_sw::border::{ColBorder, RowBorder};
 use megasw_sw::cell::{BestCell, Score};
-use megasw_sw::kernel::{self, Kernel, KernelSelection};
+use megasw_sw::kernel::{self, Kernel, KernelSelection, PathCounts};
 use megasw_sw::prune::{prune_bound, restore_corner, tile_is_prunable};
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -651,10 +653,15 @@ impl<'a> PipelineRun<'a> {
             let stop_row = ((st.start_row / seg_rows + 1) * seg_rows).min(rows);
             let ckpt = store.as_ref().zip(interval).map(|(store, interval)| {
                 let geoms: Vec<(usize, usize)> = st.slabs.iter().map(|s| (s.j0, s.width)).collect();
-                let base_best = st.resume.as_ref().map_or(BestCell::ZERO, |c| c.best);
+                let (base_best, base_counts) = st
+                    .resume
+                    .as_ref()
+                    .map_or((BestCell::ZERO, WorkCounts::default()), |c| {
+                        (c.best, c.counts)
+                    });
                 CkptCtx {
                     store,
-                    attempt: store.begin_attempt(st.start_row, base_best, &geoms),
+                    attempt: store.begin_attempt(st.start_row, base_best, base_counts, &geoms),
                     interval,
                 }
             });
@@ -837,10 +844,9 @@ struct DevicePartial {
     /// width times the rows it executed. This is what the coverage
     /// invariant in `assemble_report` sums.
     cells: u128,
-    /// Cells inside tiles the pruning bound skipped (subset of `cells`).
-    cells_skipped: u128,
-    tiles_pruned: u64,
-    tiles_total: u64,
+    /// Pruning, rescue and kernel-path counts over the rows it executed
+    /// (`cells_skipped` is a subset of `cells`).
+    counts: WorkCounts,
     /// The worker's final pruning watermark (0 when pruning is off).
     watermark: Score,
     bytes_sent: u64,
@@ -849,16 +855,16 @@ struct DevicePartial {
     last_kernel_end_ns: u64,
     /// Phase clocks for [`StallAttribution`].
     clocks: PhaseClocks,
-    /// SIMD→scalar rescues this worker's thread triggered.
-    simd_rescues: u64,
 }
 
 impl DevicePartial {
     /// Fold the phase clocks of the same device's `earlier` completed
     /// segment into this one, so a segmented run's report attributes the
     /// device's whole makespan rather than its last segment only. Cells
-    /// and pruning counts stay per-attempt: the coverage identity in
-    /// `assemble_report` counts earlier segments through the checkpoint.
+    /// and work counts stay per-attempt: `assemble_report` takes the rows
+    /// above the final attempt's start from its resume checkpoint, which
+    /// holds the counts of every earlier segment and, after a fault
+    /// rewind, of the rows the checkpoint kept.
     fn carry(&mut self, earlier: &DevicePartial) {
         if earlier.clocks.busy_ns > 0 {
             self.first_kernel_start_ns = earlier.first_kernel_start_ns;
@@ -1082,6 +1088,13 @@ fn assemble_report(
 ) -> RunReport {
     let base_best = st.resume.as_ref().map_or(BestCell::ZERO, |c| c.best);
     let best = partials.iter().fold(base_best, |acc, p| acc.merge(p.best));
+    // Whole-run counts: the rows above the final attempt's start come from
+    // the checkpoint it resumed from, each row counted once.
+    let counts = st
+        .resume
+        .as_ref()
+        .map_or(WorkCounts::default(), |c| c.counts)
+        + partials.iter().map(|p| p.counts).sum();
     let total_cells = ctx.a.len() as u128 * ctx.b.len() as u128;
     debug_assert_eq!(
         ctx.cells_at(st.start_row) + partials.iter().map(|p| p.cells).sum::<u128>(),
@@ -1090,9 +1103,9 @@ fn assemble_report(
     );
     let pruning = ctx.prune_mode.is_enabled().then(|| PruningReport {
         mode: ctx.prune_mode,
-        tiles_pruned: partials.iter().map(|p| p.tiles_pruned).sum(),
-        tiles_total: partials.iter().map(|p| p.tiles_total).sum(),
-        cells_skipped: partials.iter().map(|p| p.cells_skipped).sum(),
+        tiles_pruned: counts.tiles_pruned,
+        tiles_total: counts.tiles_total,
+        cells_skipped: counts.cells_skipped,
         // Worst final watermark lag across workers: how far the slowest
         // watermark trailed the run's true best. Always ≥ 0 — a watermark
         // only ever folds actually-observed scores.
@@ -1154,7 +1167,8 @@ fn assemble_report(
         recovery: st.recovery,
         rebalance: st.rebalance,
         kernel: ctx.selection(),
-        simd_rescues: partials.iter().map(|p| p.simd_rescues).sum(),
+        simd_rescues: counts.kernel_paths.rescued,
+        kernel_paths: counts.kernel_paths,
     }
 }
 
@@ -1224,8 +1238,14 @@ fn device_worker(
     // from the kernel crate's thread-local counters — this worker owns its
     // thread, so the deltas are exactly its own rescues.
     let mut clocks = PhaseClocks::default();
-    let rescues_base = kernel::simd_rescues_thread();
     let rescue_ns_base = kernel::simd_rescue_ns_thread();
+    let paths_base = kernel::path_counts();
+    let counts = |tiles_pruned, tiles_total, cells_skipped| WorkCounts {
+        tiles_pruned,
+        tiles_total,
+        cells_skipped,
+        kernel_paths: kernel::path_counts() - paths_base,
+    };
     // One flight-recorder append per step; ~70 ns each, only when a
     // recorder is attached.
     let fly = |kind: FlightKind, row: u64, t_ns: u64, dur_ns: u64, aux: u64| {
@@ -1466,8 +1486,13 @@ fn device_worker(
                     ck_h.extend_from_slice(&t.h[1..]);
                     ck_f.extend_from_slice(&t.f[1..]);
                 }
+                let tally = SlabTally {
+                    best,
+                    watermark,
+                    counts: counts(tiles_pruned, tiles_total, cells_skipped),
+                };
                 ck.store
-                    .record(ck.attempt, wave, s_idx, (&ck_h, &ck_f), best, watermark);
+                    .record(ck.attempt, wave, s_idx, (&ck_h, &ck_f), tally);
                 let ckpt_ns = obs.now_ns().max(ckpt_start) - ckpt_start;
                 clocks.checkpoint_ns += ckpt_ns;
                 if let Some(live) = ctx.live {
@@ -1526,9 +1551,7 @@ fn device_worker(
     Ok(DevicePartial {
         best,
         cells,
-        cells_skipped,
-        tiles_pruned,
-        tiles_total,
+        counts: counts(tiles_pruned, tiles_total, cells_skipped),
         watermark,
         bytes_sent,
         first_kernel_start_ns: first_kernel_start_ns.unwrap_or(0),
@@ -1537,7 +1560,6 @@ fn device_worker(
             simd_rescue_ns: kernel::simd_rescue_ns_thread().saturating_sub(rescue_ns_base),
             ..clocks
         },
-        simd_rescues: kernel::simd_rescues_thread().saturating_sub(rescues_base),
     })
 }
 
@@ -1580,6 +1602,7 @@ fn empty_report(ctx: &RunCtx<'_>, st: Progress) -> RunReport {
         rebalance: st.rebalance,
         kernel: ctx.selection(),
         simd_rescues: 0,
+        kernel_paths: PathCounts::default(),
     }
 }
 
@@ -2680,7 +2703,12 @@ mod tests {
     #[test]
     fn segmented_run_attributes_every_segment() {
         use crate::config::RebalanceMode;
-        let (a, b) = pair(4_096, 63);
+        // Long enough (~24 segments, ~0.2 s on two cores beside the suite)
+        // that the compute share below averages over the scheduling of
+        // concurrent tests instead of hanging on one of them: at 4 kbp a
+        // side the run took ~20 ms and read ~50% compute whenever another
+        // multi-threaded test overlapped it.
+        let (a, b) = pair(12_288, 63);
         let cfg = RunConfig::test_default()
             .with_checkpoint(CheckpointCadence::EveryRows(8))
             .with_rebalance(RebalanceMode::On {

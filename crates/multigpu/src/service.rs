@@ -965,7 +965,7 @@ fn report_json(report: &JobReport) -> String {
 ///
 /// ```json
 /// {"kind": "single-pair", "id": "chr1-vs-chr1", "a": "ACGT…", "b": ">hdr\nACGT…",
-///  "priority": 0, "policy": {"kernel": "avx2", "prune": "distributed",
+///  "priority": 0, "policy": {"kernel": "avx512", "prune": "distributed",
 ///  "rebalance": "on:0.1", "checkpoint_rows": 8, "equal": true, "block": 256},
 ///  "fault": "0:4:compute"}
 /// {"kind": "batch", "pairs": [{"id": "p0", "a": "…", "b": "…"}, …],

@@ -13,6 +13,7 @@ use crate::circbuf::RingStats;
 use crate::config::PruneMode;
 use megasw_gpusim::SimTime;
 use megasw_obs::{MetricsRegistry, ObsSpan};
+use megasw_sw::kernel::PathCounts;
 use megasw_sw::{BestCell, KernelSelection};
 use std::time::Duration;
 
@@ -349,6 +350,11 @@ pub struct RunReport {
     /// SIMD→scalar rescue re-runs the run's tiles triggered (0 on the
     /// scalar engine and for simulated runs).
     pub simd_rescues: u64,
+    /// Tiles per vector-kernel dispatch path (all 0 on the scalar engine
+    /// and for simulated runs). Like the pruning and rescue counts, these
+    /// cover the whole matrix once, across rebalance segments and fault
+    /// rewinds.
+    pub kernel_paths: PathCounts,
 }
 
 impl RunReport {
@@ -696,6 +702,7 @@ mod tests {
             }),
             kernel: KernelSelection::default(),
             simd_rescues: 2,
+            kernel_paths: PathCounts::default(),
         }
     }
 

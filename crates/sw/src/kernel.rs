@@ -7,12 +7,14 @@
 //! threaded pipeline, the DES model, the baselines and the tests all ask
 //! for a kernel once and invoke every DP primitive through it.
 //!
-//! Three engines implement the trait:
+//! Four engines implement the trait:
 //!
 //! * **scalar** — the original portable inner loops; always available and
 //!   the ground truth the vector engines are tested against;
 //! * **sse41** — anti-diagonal wavefront with 8 × i16 lanes (SSE4.1);
-//! * **avx2** — the same wavefront with 16 × i16 lanes (AVX2).
+//! * **avx2** — the same wavefront with 16 × i16 lanes (AVX2);
+//! * **avx512** — the same wavefront with 32 × i16 lanes (AVX-512BW); a
+//!   tile too narrow for two 32-lane vectors runs the 16-lane wave.
 //!
 //! The vector engines use saturating i16 arithmetic on **bias-rebased**
 //! scores (every value is stored relative to the tile's corner, so absolute
@@ -23,7 +25,7 @@
 //! deterministic best-cell tie-break.
 //!
 //! [`KernelDispatch`] picks the engine: [`KernelDispatch::Auto`] probes the
-//! CPU at runtime (AVX2 → SSE4.1 → scalar, overridable with the
+//! CPU at runtime (AVX-512BW → AVX2 → SSE4.1 → scalar, overridable with the
 //! `MEGASW_KERNEL` environment variable); the `Force*` variants insist on
 //! one engine and error when the host cannot run it.
 //!
@@ -50,9 +52,10 @@ use crate::scoring::ScoreScheme;
 /// How a run picks its DP engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelDispatch {
-    /// Probe the CPU: AVX2 if available, else SSE4.1, else scalar. The
-    /// `MEGASW_KERNEL` environment variable (`scalar|sse41|avx2`) overrides
-    /// the probe — useful for CI sweeps — but never a `Force*` request.
+    /// Probe the CPU: AVX-512BW if available, else AVX2, else SSE4.1, else
+    /// scalar. The `MEGASW_KERNEL` environment variable
+    /// (`scalar|sse41|avx2|avx512`) overrides the probe — useful for CI
+    /// sweeps — but never a `Force*` request.
     #[default]
     Auto,
     /// Always use the scalar i32 engine.
@@ -61,6 +64,8 @@ pub enum KernelDispatch {
     ForceSse41,
     /// Require the AVX2 engine; [`select`] errors if unsupported.
     ForceAvx2,
+    /// Require the AVX-512BW engine; [`select`] errors if unsupported.
+    ForceAvx512,
 }
 
 impl KernelDispatch {
@@ -71,6 +76,7 @@ impl KernelDispatch {
             KernelDispatch::ForceScalar => "scalar",
             KernelDispatch::ForceSse41 => "sse41",
             KernelDispatch::ForceAvx2 => "avx2",
+            KernelDispatch::ForceAvx512 => "avx512",
         }
     }
 
@@ -81,8 +87,9 @@ impl KernelDispatch {
             "scalar" => Ok(KernelDispatch::ForceScalar),
             "sse41" => Ok(KernelDispatch::ForceSse41),
             "avx2" => Ok(KernelDispatch::ForceAvx2),
+            "avx512" => Ok(KernelDispatch::ForceAvx512),
             other => Err(format!(
-                "unknown kernel dispatch `{other}` (expected auto|scalar|sse41|avx2)"
+                "unknown kernel dispatch `{other}` (expected auto|scalar|sse41|avx2|avx512)"
             )),
         }
     }
@@ -97,6 +104,7 @@ impl KernelDispatch {
             KernelDispatch::ForceScalar => KernelId::Scalar,
             KernelDispatch::ForceSse41 => KernelId::Sse41,
             KernelDispatch::ForceAvx2 => KernelId::Avx2,
+            KernelDispatch::ForceAvx512 => KernelId::Avx512,
         }
     }
 }
@@ -120,6 +128,7 @@ pub enum KernelId {
     Scalar,
     Sse41,
     Avx2,
+    Avx512,
 }
 
 impl KernelId {
@@ -129,6 +138,7 @@ impl KernelId {
             KernelId::Scalar => "scalar",
             KernelId::Sse41 => "sse41",
             KernelId::Avx2 => "avx2",
+            KernelId::Avx512 => "avx512",
         }
     }
 }
@@ -289,7 +299,9 @@ pub fn scalar() -> &'static dyn Kernel {
 
 #[cfg(target_arch = "x86_64")]
 fn detected_best() -> KernelId {
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if std::arch::is_x86_feature_detected!("avx512bw") {
+        KernelId::Avx512
+    } else if std::arch::is_x86_feature_detected!("avx2") {
         KernelId::Avx2
     } else if std::arch::is_x86_feature_detected!("sse4.1") {
         KernelId::Sse41
@@ -305,9 +317,12 @@ fn detected_best() -> KernelId {
 
 /// Engines the current host can run, best first.
 pub fn available() -> Vec<KernelId> {
-    let mut out = Vec::with_capacity(3);
+    let mut out = Vec::with_capacity(4);
     #[cfg(target_arch = "x86_64")]
     {
+        if std::arch::is_x86_feature_detected!("avx512bw") {
+            out.push(KernelId::Avx512);
+        }
         if std::arch::is_x86_feature_detected!("avx2") {
             out.push(KernelId::Avx2);
         }
@@ -343,6 +358,8 @@ pub fn select(dispatch: KernelDispatch) -> Result<&'static dyn Kernel, String> {
             KernelId::Sse41 => crate::simd::sse41_kernel(),
             #[cfg(target_arch = "x86_64")]
             KernelId::Avx2 => crate::simd::avx2_kernel(),
+            #[cfg(target_arch = "x86_64")]
+            KernelId::Avx512 => crate::simd::avx512_kernel(),
             #[cfg(not(target_arch = "x86_64"))]
             _ => scalar(),
         }),
@@ -364,6 +381,15 @@ pub fn select(dispatch: KernelDispatch) -> Result<&'static dyn Kernel, String> {
                 }
             }
             Err("kernel dispatch `avx2` requested but this CPU does not support AVX2".into())
+        }
+        KernelDispatch::ForceAvx512 => {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx512bw") {
+                    return Ok(crate::simd::avx512_kernel());
+                }
+            }
+            Err("kernel dispatch `avx512` requested but this CPU does not support AVX-512BW".into())
         }
     }
 }
@@ -407,22 +433,9 @@ pub fn simd_rescue_ns() -> u64 {
     }
 }
 
-/// [`simd_rescues`] restricted to the calling thread. A pipeline worker
+/// [`simd_rescue_ns`] restricted to the calling thread. A pipeline worker
 /// samples this before and after its run to get exact per-device rescue
-/// counts even with other workers (or tests) rescuing concurrently.
-pub fn simd_rescues_thread() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        crate::simd::rescue_count_thread()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        0
-    }
-}
-
-/// [`simd_rescue_ns`] restricted to the calling thread; see
-/// [`simd_rescues_thread`].
+/// time even with other workers (or tests) rescuing concurrently.
 pub fn simd_rescue_ns_thread() -> u64 {
     #[cfg(target_arch = "x86_64")]
     {
@@ -431,6 +444,63 @@ pub fn simd_rescue_ns_thread() -> u64 {
     #[cfg(not(target_arch = "x86_64"))]
     {
         0
+    }
+}
+
+/// Tiles a vector engine's dispatch sent down each path. Every tile handed
+/// to a SIMD engine's `block`/`block_anchored` lands in exactly one field;
+/// the scalar engine counts nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PathCounts {
+    /// Tiles the engine's full-width wave computed.
+    pub wide: u64,
+    /// Tiles the AVX-512BW engine ran on the 16-lane AVX2 wave because
+    /// their short side is below its own vector minimum (always 0 on the
+    /// other engines).
+    pub half: u64,
+    /// Tiles whose short side is too small for any wave, run scalar.
+    pub scalar: u64,
+    /// Tiles a wave refused because the i16 band could not hold them,
+    /// re-run scalar (the [`simd_rescues`] protocol).
+    pub rescued: u64,
+}
+
+impl std::ops::Add for PathCounts {
+    type Output = PathCounts;
+    fn add(self, o: PathCounts) -> PathCounts {
+        PathCounts {
+            wide: self.wide + o.wide,
+            half: self.half + o.half,
+            scalar: self.scalar + o.scalar,
+            rescued: self.rescued + o.rescued,
+        }
+    }
+}
+
+impl std::ops::Sub for PathCounts {
+    type Output = PathCounts;
+    /// Counts since an earlier sample `o` of the same thread (saturating).
+    fn sub(self, o: PathCounts) -> PathCounts {
+        PathCounts {
+            wide: self.wide.saturating_sub(o.wide),
+            half: self.half.saturating_sub(o.half),
+            scalar: self.scalar.saturating_sub(o.scalar),
+            rescued: self.rescued.saturating_sub(o.rescued),
+        }
+    }
+}
+
+/// The calling thread's [`PathCounts`], monotone over the thread's
+/// lifetime. A pipeline worker samples it before and after its rows; its
+/// `rescued` field is the thread's share of [`simd_rescues`].
+pub fn path_counts() -> PathCounts {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::simd::path_counts_thread()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        PathCounts::default()
     }
 }
 
@@ -446,6 +516,7 @@ mod tests {
             KernelDispatch::ForceScalar,
             KernelDispatch::ForceSse41,
             KernelDispatch::ForceAvx2,
+            KernelDispatch::ForceAvx512,
         ] {
             assert_eq!(KernelDispatch::parse(d.name()).unwrap(), d);
             assert_eq!(d.name().parse::<KernelDispatch>().unwrap(), d);
@@ -484,6 +555,7 @@ mod tests {
         for (dispatch, id) in [
             (KernelDispatch::ForceSse41, KernelId::Sse41),
             (KernelDispatch::ForceAvx2, KernelId::Avx2),
+            (KernelDispatch::ForceAvx512, KernelId::Avx512),
         ] {
             match select(dispatch) {
                 Ok(k) => {
@@ -509,6 +581,7 @@ mod tests {
                 KernelId::Scalar => KernelDispatch::ForceScalar,
                 KernelId::Sse41 => KernelDispatch::ForceSse41,
                 KernelId::Avx2 => KernelDispatch::ForceAvx2,
+                KernelId::Avx512 => KernelDispatch::ForceAvx512,
             })
             .unwrap();
             assert_eq!(k.best(a.codes(), b.codes(), &scheme), want, "{id}");
@@ -567,6 +640,7 @@ mod tests {
         assert_eq!(KernelDispatch::ForceScalar.modeled_id(), KernelId::Scalar);
         assert_eq!(KernelDispatch::ForceSse41.modeled_id(), KernelId::Sse41);
         assert_eq!(KernelDispatch::ForceAvx2.modeled_id(), KernelId::Avx2);
+        assert_eq!(KernelDispatch::ForceAvx512.modeled_id(), KernelId::Avx512);
         assert!(available().contains(&KernelDispatch::Auto.modeled_id()));
     }
 }

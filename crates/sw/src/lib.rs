@@ -27,7 +27,7 @@
 //! * [`kernel`] — the unified [`kernel::Kernel`] trait over every DP entry
 //!   point, with runtime CPU-feature dispatch ([`kernel::KernelDispatch`])
 //!   across the scalar engine and the private anti-diagonal SIMD engines
-//!   (AVX2 / SSE4.1, i16 lanes with overflow rescue).
+//!   (AVX-512BW / AVX2 / SSE4.1, i16 lanes with overflow rescue).
 //!
 //! The old free-function entry points (`compute_block`, `gotoh_best`,
 //! `banded_best`, …) were deprecated shims over the trait surface and have

@@ -1,15 +1,20 @@
-//! Anti-diagonal SIMD wavefront kernels (x86-64: AVX2 and SSE4.1).
+//! Anti-diagonal SIMD wavefront kernels (x86-64: AVX-512BW, AVX2 and
+//! SSE4.1).
 //!
 //! The scalar block kernel walks the tile row-major; every cell depends on
 //! its left neighbour through `E`, so rows cannot be vectorized directly.
 //! Cells on one **anti-diagonal** (`i + j = const`) are mutually
 //! independent, which is the classic wavefront shape GPU Smith-Waterman
 //! kernels exploit. This module runs the same recurrences over striped
-//! anti-diagonal state vectors with 16-bit lanes:
+//! anti-diagonal state vectors with 16-bit lanes (32 per vector on
+//! AVX-512BW, 16 on AVX2, 8 on SSE4.1):
 //!
 //! * state is held per tile row `k` in seven rolling arrays (`H` at
 //!   diagonals `d`, `d−1`, `d−2`; `E`/`F` at `d`, `d−1`), so a lane load at
-//!   offset `k` reads the neighbour values of cells `(k, d−k)`;
+//!   offset `k` reads the neighbour values of cells `(k, d−k)`. The rows
+//!   share one allocation, each placed so that slot 1 — where the chunks
+//!   of every diagonal that starts at the top row load and store — sits on
+//!   a 64-byte boundary;
 //! * sequence `b` is stored **reversed** so that ascending lane index `k`
 //!   maps to the descending column `l = d − k` with a single contiguous
 //!   load;
@@ -17,8 +22,14 @@
 //!   its length is not a multiple of the lane count, one more **overlapped
 //!   chunk** ends exactly at its last row and recomputes a few cells of
 //!   the chunk before it. Recomputing is idempotent, because a cell reads
-//!   only diagonals `d−1` and `d−2`. Only the corner diagonals shorter
-//!   than one vector run scalar;
+//!   only diagonals `d−1` and `d−2`;
+//! * a **corner diagonal** shorter than one vector runs as one chunk from
+//!   its first row whose lanes past the last row are dead. The inputs and
+//!   state rows are padded by one vector, so those lanes load and store in
+//!   bounds; they write only slots no live cell reads (a live cell of
+//!   diagonal `d` reads slots up to `khi(d−1) + 1`, each of them a real
+//!   cell or a patched border cell), and a lane-index mask keeps them out
+//!   of the diagonal's min/max. No cell of a vector tile runs scalar;
 //! * scores are **rebased** against the tile's corner value (`bias =
 //!   top.h[0]`): all arithmetic is saturating i16 on `value − bias`, so
 //!   tiles whose absolute scores are far beyond `i16::MAX` (megabase
@@ -48,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::block::{compute_block_impl, BlockInput, BlockOutput};
 use crate::border::{ColBorder, RowBorder};
 use crate::cell::{BestCell, Score, NEG_INF};
-use crate::kernel::{Kernel, KernelId};
+use crate::kernel::{Kernel, KernelId, PathCounts};
 use crate::scoring::ScoreScheme;
 
 /// Rebased i16 "minus infinity" for E/F lanes. Far enough below the safe
@@ -66,12 +77,16 @@ static RESCUES: AtomicU64 = AtomicU64::new(0);
 static RESCUE_NS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Per-thread mirrors of the global rescue counters. A pipeline runs
-    /// one worker thread per device, so sampling these from the worker
-    /// gives *exact* per-device rescue attribution — the process-global
-    /// counters cannot separate concurrent workers (or concurrent tests).
-    static TLS_RESCUES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Per-thread mirror of the global rescue clock. A pipeline runs one
+    /// worker thread per device, so sampling it from the worker gives
+    /// *exact* per-device rescue attribution — the process-global counters
+    /// cannot separate concurrent workers (or concurrent tests).
     static TLS_RESCUE_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Tiles this thread's vector dispatches sent down each path; its
+    /// `rescued` field is the per-thread rescue count.
+    static TLS_PATHS: std::cell::Cell<PathCounts> = const {
+        std::cell::Cell::new(PathCounts { wide: 0, half: 0, scalar: 0, rescued: 0 })
+    };
 }
 
 /// Tiles re-run through the scalar i32 kernel by the overflow-rescue
@@ -87,21 +102,29 @@ pub(crate) fn rescue_ns() -> u64 {
     RESCUE_NS.load(Ordering::Relaxed)
 }
 
-/// [`rescue_count`], but only the rescues the *calling thread* triggered.
-pub(crate) fn rescue_count_thread() -> u64 {
-    TLS_RESCUES.with(|c| c.get())
-}
-
 /// [`rescue_ns`], but only the nanoseconds the *calling thread* spent.
 pub(crate) fn rescue_ns_thread() -> u64 {
     TLS_RESCUE_NS.with(|c| c.get())
+}
+
+/// [`PathCounts`] of the calling thread, monotone.
+pub(crate) fn path_counts_thread() -> PathCounts {
+    TLS_PATHS.with(|c| c.get())
+}
+
+fn count_path(bump: impl FnOnce(&mut PathCounts)) {
+    TLS_PATHS.with(|c| {
+        let mut paths = c.get();
+        bump(&mut paths);
+        c.set(paths);
+    });
 }
 
 /// Run the scalar fallback for a tile the vector engine gave up on,
 /// charging its duration to the rescue clock.
 fn rescue_block<const LOCAL: bool>(input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
     RESCUES.fetch_add(1, Ordering::Relaxed);
-    TLS_RESCUES.with(|c| c.set(c.get() + 1));
+    count_path(|p| p.rescued += 1);
     let t = std::time::Instant::now();
     let out = compute_block_impl::<LOCAL>(input, scheme);
     let spent = t.elapsed().as_nanos() as u64;
@@ -128,9 +151,83 @@ trait Engine: Copy {
     unsafe fn blendv(no: Self::V, yes: Self::V, mask: Self::V) -> Self::V;
     /// Byte-granular mask of `v` (2 bits per i16 lane); nonzero iff any
     /// lane of a compare result is set.
-    unsafe fn movemask(v: Self::V) -> u32;
+    unsafe fn movemask(v: Self::V) -> u64;
     unsafe fn hmax(v: Self::V) -> i16;
     unsafe fn hmin(v: Self::V) -> i16;
+}
+
+#[derive(Clone, Copy)]
+struct Avx512;
+
+impl Engine for Avx512 {
+    const LANES: usize = 32;
+    type V = __m512i;
+    #[inline(always)]
+    unsafe fn splat(v: i16) -> __m512i {
+        _mm512_set1_epi16(v)
+    }
+    #[inline(always)]
+    unsafe fn loadu(p: *const i16) -> __m512i {
+        _mm512_loadu_si512(p as *const _)
+    }
+    #[inline(always)]
+    unsafe fn storeu(p: *mut i16, v: __m512i) {
+        _mm512_storeu_si512(p as *mut _, v)
+    }
+    #[inline(always)]
+    unsafe fn adds(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_adds_epi16(a, b)
+    }
+    #[inline(always)]
+    unsafe fn subs(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_subs_epi16(a, b)
+    }
+    #[inline(always)]
+    unsafe fn max(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_max_epi16(a, b)
+    }
+    #[inline(always)]
+    unsafe fn min(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_min_epi16(a, b)
+    }
+    // AVX-512 compares yield mask registers; the generic wave takes
+    // vector masks, so these convert (`movm` / `movepi16_mask`). A
+    // mask-register form of the per-cell substitution measured level with
+    // this one end to end.
+    #[inline(always)]
+    unsafe fn cmpeq(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_movm_epi16(_mm512_cmpeq_epi16_mask(a, b))
+    }
+    #[inline(always)]
+    unsafe fn cmpgt(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_movm_epi16(_mm512_cmpgt_epi16_mask(a, b))
+    }
+    #[inline(always)]
+    unsafe fn and(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_and_si512(a, b)
+    }
+    #[inline(always)]
+    unsafe fn blendv(no: __m512i, yes: __m512i, mask: __m512i) -> __m512i {
+        _mm512_mask_blend_epi16(_mm512_movepi16_mask(mask), no, yes)
+    }
+    #[inline(always)]
+    unsafe fn movemask(v: __m512i) -> u64 {
+        _mm512_movepi8_mask(v)
+    }
+    #[inline(always)]
+    unsafe fn hmax(v: __m512i) -> i16 {
+        Avx2::hmax(_mm256_max_epi16(
+            _mm512_castsi512_si256(v),
+            _mm512_extracti64x4_epi64::<1>(v),
+        ))
+    }
+    #[inline(always)]
+    unsafe fn hmin(v: __m512i) -> i16 {
+        Avx2::hmin(_mm256_min_epi16(
+            _mm512_castsi512_si256(v),
+            _mm512_extracti64x4_epi64::<1>(v),
+        ))
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -186,8 +283,8 @@ impl Engine for Avx2 {
         _mm256_blendv_epi8(no, yes, mask)
     }
     #[inline(always)]
-    unsafe fn movemask(v: __m256i) -> u32 {
-        _mm256_movemask_epi8(v) as u32
+    unsafe fn movemask(v: __m256i) -> u64 {
+        u64::from(_mm256_movemask_epi8(v) as u32)
     }
     #[inline(always)]
     unsafe fn hmax(v: __m256i) -> i16 {
@@ -258,8 +355,8 @@ impl Engine for Sse41 {
         _mm_blendv_epi8(no, yes, mask)
     }
     #[inline(always)]
-    unsafe fn movemask(v: __m128i) -> u32 {
-        _mm_movemask_epi8(v) as u32
+    unsafe fn movemask(v: __m128i) -> u64 {
+        u64::from(_mm_movemask_epi8(v) as u32)
     }
     #[inline(always)]
     unsafe fn hmax(v: __m128i) -> i16 {
@@ -275,11 +372,6 @@ impl Engine for Sse41 {
         let m = _mm_min_epi16(m, _mm_srli_si128::<2>(m));
         _mm_extract_epi16::<0>(m) as i16
     }
-}
-
-#[inline(always)]
-fn clamp16(v: i32) -> i16 {
-    v.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
 }
 
 /// Overflow pre-scan: the largest score change any single DP step can make,
@@ -310,6 +402,39 @@ fn fits_band(input: BlockInput<'_>, scheme: &ScoreScheme) -> bool {
         }
     }
     hi - bias + margin_up <= BAND && bias - lo + margin_down <= BAND
+}
+
+/// Lane index `x` in lane `x`: the widest engine's lanes, loaded as a
+/// prefix by narrower ones.
+const LANE_INDEX: [i16; 32] = {
+    let mut lanes = [0i16; 32];
+    let mut x = 0;
+    while x < lanes.len() {
+        lanes[x] = x as i16;
+        x += 1;
+    }
+    lanes
+};
+
+/// The wave's seven state rows of `len` slots each, carved from one
+/// allocation held in `backing`. Every row starts so that its slot 1 sits
+/// on a 64-byte boundary: the chunks of each diagonal that begins at the
+/// top row (`klo = 1`) then load and store whole cache lines.
+fn state_rows(backing: &mut Vec<i16>, len: usize) -> [&mut [i16]; 7] {
+    const LINE: usize = 64 / std::mem::size_of::<i16>();
+    let stride = len.next_multiple_of(LINE);
+    *backing = vec![NEG_INF16; 7 * stride + LINE];
+    // `i16` storage is 2-byte aligned, so some `off < LINE` puts slot
+    // `off + 1` on the boundary.
+    let addr = backing.as_ptr() as usize + std::mem::size_of::<i16>();
+    let off = (64 - addr % 64) % 64 / std::mem::size_of::<i16>();
+    let mut rows = backing[off..off + 7 * stride].chunks_exact_mut(stride);
+    std::array::from_fn(|_| {
+        let row = rows
+            .next()
+            .expect("seven rows carved from 7 * stride slots");
+        &mut row[..len]
+    })
 }
 
 /// Compute one tile with the anti-diagonal wavefront, or return `None` when
@@ -356,10 +481,16 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         }
     };
 
-    let a16: Vec<i16> = input.a_rows.iter().map(|&c| i16::from(c)).collect();
+    // Inputs and state rows carry one vector of padding: a corner
+    // diagonal's single chunk may run up to `lanes − 1` slots past its last
+    // row (see the module docs).
+    let mut a16 = vec![0i16; bh + lanes];
+    for (x, &c) in input.a_rows.iter().enumerate() {
+        a16[x] = i16::from(c);
+    }
     // b reversed: the vector load for cells (k, d−k), k ascending, reads
     // b_rev16[bw + k − d ..] contiguously.
-    let mut b_rev16 = vec![0i16; bw];
+    let mut b_rev16 = vec![0i16; bw + lanes];
     for (x, &c) in input.b_cols.iter().enumerate() {
         b_rev16[bw - 1 - x] = i16::from(c);
     }
@@ -367,14 +498,9 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     // Rolling anti-diagonal state, indexed by tile row k (0 = border row):
     // H at diagonals d−2/d−1/d, E and F at d−1/d. Slots outside the valid
     // range of a diagonal hold stale values that are provably never read.
-    let len = bh + 1;
-    let mut hp2 = vec![NEG_INF16; len];
-    let mut hp1 = vec![NEG_INF16; len];
-    let mut hc = vec![NEG_INF16; len];
-    let mut ep = vec![NEG_INF16; len];
-    let mut ec = vec![NEG_INF16; len];
-    let mut fp = vec![NEG_INF16; len];
-    let mut fc = vec![NEG_INF16; len];
+    let mut backing = Vec::new();
+    let [mut hp2, mut hp1, mut hc, mut ep, mut ec, mut fp, mut fc] =
+        state_rows(&mut backing, bh + 1 + lanes);
 
     // Diagonals 0 and 1 are pure border cells.
     hp2[0] = reb_h(input.top.h[0]);
@@ -396,12 +522,13 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     let v_four = E::splat(4);
     let v_floor = E::splat(floor16);
     let v_ninf = E::splat(NEG_INF16);
+    let v_top = E::splat(i16::MAX);
+    debug_assert!(lanes <= LANE_INDEX.len());
+    let v_iota = E::loadu(LANE_INDEX.as_ptr());
 
     // Band check accumulators over every computed (pre-store) H value.
     let mut v_maxall = v_ninf;
-    let mut v_minall = E::splat(i16::MAX);
-    let mut s_maxall: i32 = i32::from(NEG_INF16);
-    let mut s_minall: i32 = i32::from(i16::MAX);
+    let mut v_minall = v_top;
 
     // Outgoing borders, captured lane-exactly as diagonals sweep past the
     // tile's bottom row and right column (index 0 unused here; the corner
@@ -420,88 +547,60 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         let kend = klo + (span - span % lanes);
 
         let mut v_dmax = v_ninf;
-        let mut v_dmin = E::splat(i16::MAX);
-        let mut s_dmax: i32 = i32::from(NEG_INF16);
+        let mut v_dmin = v_top;
 
-        // Vector chunks, when the diagonal holds at least one full vector.
-        // Chunks step by `lanes` from klo up to `kend`; if cells remain, one
-        // more chunk is pulled back to end exactly at khi, so the
-        // `span % lanes` leftover cells run as a vector, not scalar. Its
-        // first lanes recompute cells of the previous chunk: a cell reads
-        // only diagonals d−1 and d−2, which this loop never writes, so the
-        // recomputed values equal the stored ones. Every lane is a real
-        // cell, so no masking is needed and the min/max accumulators never
-        // see garbage.
-        let scalar_from = if span >= lanes {
-            let last = khi + 1 - lanes;
-            let mut k = klo;
-            loop {
-                let hd = E::loadu(hp2.as_ptr().add(k - 1));
-                let hu = E::loadu(hp1.as_ptr().add(k - 1));
-                let hl = E::loadu(hp1.as_ptr().add(k));
-                let fv = E::max(
-                    E::subs(E::loadu(fp.as_ptr().add(k - 1)), v_ext),
-                    E::subs(hu, v_oe),
-                );
-                let ev = E::max(
-                    E::subs(E::loadu(ep.as_ptr().add(k)), v_ext),
-                    E::subs(hl, v_oe),
-                );
-                let va = E::loadu(a16.as_ptr().add(k - 1));
-                let vb = E::loadu(b_rev16.as_ptr().add(bw + k - d));
-                let mm = E::and(E::cmpeq(va, vb), E::cmpgt(v_four, va));
-                let sub = E::blendv(v_mis, v_match, mm);
-                let mut hv = E::adds(hd, sub);
-                hv = E::max(hv, ev);
-                hv = E::max(hv, fv);
-                if LOCAL {
-                    hv = E::max(hv, v_floor);
-                }
-                E::storeu(hc.as_mut_ptr().add(k), hv);
-                E::storeu(ec.as_mut_ptr().add(k), ev);
-                E::storeu(fc.as_mut_ptr().add(k), fv);
-                v_dmax = E::max(v_dmax, hv);
-                v_dmin = E::min(v_dmin, hv);
-                if k == last {
-                    break;
-                }
-                k = (k + lanes).min(last);
+        // Vector chunks step by `lanes` from klo. On a diagonal holding at
+        // least one full vector, the last chunk is pulled back to end
+        // exactly at khi, so the `span % lanes` leftover cells run as a
+        // vector: its first lanes recompute cells of the previous chunk,
+        // and since a cell reads only diagonals d−1 and d−2, which this
+        // loop never writes, the recomputed values equal the stored ones.
+        // Every lane is a real cell, so no masking is needed. A corner
+        // diagonal runs one chunk from klo whose lanes past khi are dead:
+        // a lane-index mask keeps them out of the min/max accumulators.
+        let last = (khi + 1).saturating_sub(lanes).max(klo);
+        let mut k = klo;
+        loop {
+            let hd = E::loadu(hp2.as_ptr().add(k - 1));
+            let hu = E::loadu(hp1.as_ptr().add(k - 1));
+            let hl = E::loadu(hp1.as_ptr().add(k));
+            let fv = E::max(
+                E::subs(E::loadu(fp.as_ptr().add(k - 1)), v_ext),
+                E::subs(hu, v_oe),
+            );
+            let ev = E::max(
+                E::subs(E::loadu(ep.as_ptr().add(k)), v_ext),
+                E::subs(hl, v_oe),
+            );
+            let va = E::loadu(a16.as_ptr().add(k - 1));
+            let vb = E::loadu(b_rev16.as_ptr().add(bw + k - d));
+            let mm = E::and(E::cmpeq(va, vb), E::cmpgt(v_four, va));
+            let sub = E::blendv(v_mis, v_match, mm);
+            let mut hv = E::adds(hd, sub);
+            hv = E::max(hv, ev);
+            hv = E::max(hv, fv);
+            if LOCAL {
+                hv = E::max(hv, v_floor);
             }
-            khi + 1
-        } else {
-            klo
-        };
+            E::storeu(hc.as_mut_ptr().add(k), hv);
+            E::storeu(ec.as_mut_ptr().add(k), ev);
+            E::storeu(fc.as_mut_ptr().add(k), fv);
+            if span < lanes {
+                let live = E::cmpgt(E::splat(span as i16), v_iota);
+                v_dmax = E::blendv(v_ninf, hv, live);
+                v_dmin = E::blendv(v_top, hv, live);
+                break;
+            }
+            v_dmax = E::max(v_dmax, hv);
+            v_dmin = E::min(v_dmin, hv);
+            if k == last {
+                break;
+            }
+            k = (k + lanes).min(last);
+        }
         // Band accumulators merge once per diagonal, not per step.
         v_maxall = E::max(v_maxall, v_dmax);
         v_minall = E::min(v_minall, v_dmin);
-        // Corner diagonals shorter than one vector run scalar in i32,
-        // clamped at store: identical to the saturating lanes because real
-        // arms always stay in band and NEG_INF16-derived arms always lose
-        // the max (see module docs).
-        for k in scalar_from..=khi {
-            let hd = i32::from(hp2[k - 1]);
-            let hu = i32::from(hp1[k - 1]);
-            let hl = i32::from(hp1[k]);
-            let f = (i32::from(fp[k - 1]) - ext).max(hu - open_ext);
-            let e = (i32::from(ep[k]) - ext).max(hl - open_ext);
-            let ca = a16[k - 1];
-            let cb = b_rev16[bw + k - d];
-            let sub = if ca == cb && ca < 4 {
-                scheme.match_score
-            } else {
-                scheme.mismatch_score
-            };
-            let mut h = (hd + sub).max(e).max(f);
-            if LOCAL && h < i32::from(floor16) {
-                h = i32::from(floor16);
-            }
-            s_dmax = s_dmax.max(h);
-            s_maxall = s_maxall.max(h);
-            s_minall = s_minall.min(h);
-            hc[k] = clamp16(h);
-            ec[k] = clamp16(e);
-            fc[k] = clamp16(f);
-        }
 
         // Border capture (before the patches below — patched slots are
         // border cells, never tile cells).
@@ -528,16 +627,17 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         //
         // The vector scan stops at `kend`, the end of the last full-lane
         // chunk from klo; the `find` covers `kend..=khi`, which the
-        // overlapped chunk (or, on a corner diagonal, the scalar loop) has
-        // filled. A scan chunk starting at or past `kend` would load slots
-        // past khi, and past the end of `hc` on diagonals that reach row bh.
+        // overlapped chunk (or, on a corner diagonal, the single chunk from
+        // klo) has filled. A scan chunk starting at or past `kend` would
+        // compare slots past khi: dead lanes and stale values, any of which
+        // may equal the max.
         //
-        // On a tile that ends up out of band, `dmax as i16` may not match
-        // any lane; the candidate (or the whole best) is garbage either
-        // way, because the band post-check below discards the tile.
-        let dmax = i64::from(s_dmax).max(i64::from(E::hmax(v_dmax)));
-        if dmax + bias >= i64::from(best.score.max(1)) {
-            let v_target = E::splat(dmax as i16);
+        // On a tile that ends up out of band, the candidate (or the whole
+        // best) may be garbage, because the band post-check below discards
+        // the tile.
+        let dmax = E::hmax(v_dmax);
+        if i64::from(dmax) + bias >= i64::from(best.score.max(1)) {
+            let v_target = E::splat(dmax);
             let mut hit = None;
             let mut k = klo;
             while k < kend {
@@ -549,11 +649,11 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
                 k += lanes;
             }
             if hit.is_none() {
-                hit = (kend..=khi).find(|&k| i64::from(hc[k]) == dmax);
+                hit = (kend..=khi).find(|&k| hc[k] == dmax);
             }
             if let Some(k) = hit {
                 let cand = BestCell::new(
-                    (dmax + bias) as Score,
+                    (i64::from(dmax) + bias) as Score,
                     input.row_offset + k - 1,
                     input.col_offset + (d - k) - 1,
                 );
@@ -583,9 +683,7 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     // Belt-and-braces band check: the pre-scan margin should make this
     // unreachable, but if any computed H touched the band edge the tile is
     // rescued rather than trusted.
-    let maxall = i64::from(s_maxall).max(i64::from(E::hmax(v_maxall)));
-    let minall = i64::from(s_minall).min(i64::from(E::hmin(v_minall)));
-    if maxall > BAND || minall < -BAND {
+    if i64::from(E::hmax(v_maxall)) > BAND || i64::from(E::hmin(v_minall)) < -BAND {
         return None;
     }
 
@@ -636,6 +734,17 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
 }
 
 /// # Safety
+/// Requires AVX-512BW (checked by `kernel::select` before this is
+/// reachable).
+#[target_feature(enable = "avx512bw")]
+unsafe fn wave_avx512<const LOCAL: bool>(
+    input: BlockInput<'_>,
+    scheme: &ScoreScheme,
+) -> Option<BlockOutput> {
+    wave::<Avx512, LOCAL>(input, scheme)
+}
+
+/// # Safety
 /// Requires AVX2 (checked by `kernel::select` before this is reachable).
 #[target_feature(enable = "avx2")]
 unsafe fn wave_avx2<const LOCAL: bool>(
@@ -661,72 +770,109 @@ const fn vector_min(lanes: usize) -> usize {
     2 * lanes
 }
 
-/// The AVX2 engine (16 × i16 lanes).
-pub(crate) struct Avx2Kernel {
-    _priv: (),
-}
-
-impl Avx2Kernel {
-    fn dispatch<const LOCAL: bool>(input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        let (bh, bw) = (input.a_rows.len(), input.b_cols.len());
-        if bh.min(bw) >= vector_min(Avx2::LANES) {
-            // SAFETY: this kernel is only handed out by `kernel::select`
-            // after a successful runtime AVX2 check.
-            return match unsafe { wave_avx2::<LOCAL>(input, scheme) } {
-                Some(out) => out,
-                None => rescue_block::<LOCAL>(input, scheme),
-            };
+/// Settle a tile a wave ran on: count it under `path`, or rescue it when
+/// the wave refused it.
+fn settle<const LOCAL: bool>(
+    out: Option<BlockOutput>,
+    input: BlockInput<'_>,
+    scheme: &ScoreScheme,
+    path: fn(&mut PathCounts),
+) -> BlockOutput {
+    match out {
+        Some(out) => {
+            count_path(path);
+            out
         }
-        compute_block_impl::<LOCAL>(input, scheme)
+        None => rescue_block::<LOCAL>(input, scheme),
     }
 }
 
-impl Kernel for Avx2Kernel {
+/// A tile too small for any wave of its engine.
+fn scalar_by_size<const LOCAL: bool>(input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
+    count_path(|p| p.scalar += 1);
+    compute_block_impl::<LOCAL>(input, scheme)
+}
+
+/// Tile dispatch of the AVX-512BW engine (32 × i16 lanes). A tile whose
+/// short side is below its vector minimum but still fills two AVX2
+/// vectors runs the 16-lane wave, so small tiles keep a vector path.
+fn avx512_block<const LOCAL: bool>(input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
+    let short = input.a_rows.len().min(input.b_cols.len());
+    if short >= vector_min(Avx512::LANES) {
+        // SAFETY: this dispatch is only reachable through the kernel
+        // `kernel::select` hands out after a runtime AVX-512BW check.
+        let out = unsafe { wave_avx512::<LOCAL>(input, scheme) };
+        return settle::<LOCAL>(out, input, scheme, |p| p.wide += 1);
+    }
+    if short >= vector_min(Avx2::LANES) {
+        // SAFETY: as above, and AVX-512BW implies AVX-512F, which implies
+        // AVX2.
+        let out = unsafe { wave_avx2::<LOCAL>(input, scheme) };
+        return settle::<LOCAL>(out, input, scheme, |p| p.half += 1);
+    }
+    scalar_by_size::<LOCAL>(input, scheme)
+}
+
+/// Tile dispatch of the AVX2 engine (16 × i16 lanes).
+fn avx2_block<const LOCAL: bool>(input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
+    if input.a_rows.len().min(input.b_cols.len()) >= vector_min(Avx2::LANES) {
+        // SAFETY: this dispatch is only reachable through the kernel
+        // `kernel::select` hands out after a runtime AVX2 check.
+        let out = unsafe { wave_avx2::<LOCAL>(input, scheme) };
+        return settle::<LOCAL>(out, input, scheme, |p| p.wide += 1);
+    }
+    scalar_by_size::<LOCAL>(input, scheme)
+}
+
+/// Tile dispatch of the SSE4.1 engine (8 × i16 lanes).
+fn sse41_block<const LOCAL: bool>(input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
+    if input.a_rows.len().min(input.b_cols.len()) >= vector_min(Sse41::LANES) {
+        // SAFETY: this dispatch is only reachable through the kernel
+        // `kernel::select` hands out after a runtime SSE4.1 check.
+        let out = unsafe { wave_sse41::<LOCAL>(input, scheme) };
+        return settle::<LOCAL>(out, input, scheme, |p| p.wide += 1);
+    }
+    scalar_by_size::<LOCAL>(input, scheme)
+}
+
+/// A vector engine: its id and its tile dispatch for each semantics.
+pub(crate) struct SimdKernel {
+    id: KernelId,
+    local: fn(BlockInput<'_>, &ScoreScheme) -> BlockOutput,
+    anchored: fn(BlockInput<'_>, &ScoreScheme) -> BlockOutput,
+}
+
+impl Kernel for SimdKernel {
     fn id(&self) -> KernelId {
-        KernelId::Avx2
+        self.id
     }
     fn block(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        Self::dispatch::<true>(input, scheme)
+        (self.local)(input, scheme)
     }
     fn block_anchored(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        Self::dispatch::<false>(input, scheme)
+        (self.anchored)(input, scheme)
     }
 }
 
-/// The SSE4.1 engine (8 × i16 lanes).
-pub(crate) struct Sse41Kernel {
-    _priv: (),
-}
+static AVX512_KERNEL: SimdKernel = SimdKernel {
+    id: KernelId::Avx512,
+    local: avx512_block::<true>,
+    anchored: avx512_block::<false>,
+};
+static AVX2_KERNEL: SimdKernel = SimdKernel {
+    id: KernelId::Avx2,
+    local: avx2_block::<true>,
+    anchored: avx2_block::<false>,
+};
+static SSE41_KERNEL: SimdKernel = SimdKernel {
+    id: KernelId::Sse41,
+    local: sse41_block::<true>,
+    anchored: sse41_block::<false>,
+};
 
-impl Sse41Kernel {
-    fn dispatch<const LOCAL: bool>(input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        let (bh, bw) = (input.a_rows.len(), input.b_cols.len());
-        if bh.min(bw) >= vector_min(Sse41::LANES) {
-            // SAFETY: this kernel is only handed out by `kernel::select`
-            // after a successful runtime SSE4.1 check.
-            return match unsafe { wave_sse41::<LOCAL>(input, scheme) } {
-                Some(out) => out,
-                None => rescue_block::<LOCAL>(input, scheme),
-            };
-        }
-        compute_block_impl::<LOCAL>(input, scheme)
-    }
+pub(crate) fn avx512_kernel() -> &'static dyn Kernel {
+    &AVX512_KERNEL
 }
-
-impl Kernel for Sse41Kernel {
-    fn id(&self) -> KernelId {
-        KernelId::Sse41
-    }
-    fn block(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        Self::dispatch::<true>(input, scheme)
-    }
-    fn block_anchored(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        Self::dispatch::<false>(input, scheme)
-    }
-}
-
-static AVX2_KERNEL: Avx2Kernel = Avx2Kernel { _priv: () };
-static SSE41_KERNEL: Sse41Kernel = Sse41Kernel { _priv: () };
 
 pub(crate) fn avx2_kernel() -> &'static dyn Kernel {
     &AVX2_KERNEL
@@ -744,6 +890,9 @@ mod tests {
 
     fn engines() -> Vec<(&'static str, &'static dyn Kernel)> {
         let mut out: Vec<(&'static str, &'static dyn Kernel)> = Vec::new();
+        if std::arch::is_x86_feature_detected!("avx512bw") {
+            out.push(("avx512", avx512_kernel()));
+        }
         if std::arch::is_x86_feature_detected!("avx2") {
             out.push(("avx2", avx2_kernel()));
         }
@@ -755,6 +904,7 @@ mod tests {
 
     fn lanes_of(name: &str) -> usize {
         match name {
+            "avx512" => Avx512::LANES,
             "avx2" => Avx2::LANES,
             "sse41" => Sse41::LANES,
             _ => unreachable!(),
@@ -770,6 +920,8 @@ mod tests {
         // SAFETY: `engines()` only yields names whose feature check passed.
         unsafe {
             match (name, local) {
+                ("avx512", true) => wave_avx512::<true>(input, scheme),
+                ("avx512", false) => wave_avx512::<false>(input, scheme),
                 ("avx2", true) => wave_avx2::<true>(input, scheme),
                 ("avx2", false) => wave_avx2::<false>(input, scheme),
                 ("sse41", true) => wave_sse41::<true>(input, scheme),
@@ -1366,15 +1518,30 @@ mod tests {
     #[test]
     fn dispatch_threshold_is_vector_min_on_the_short_side() {
         // A tile whose top border sits 29_000 above its corner is out of
-        // band, so a kernel that tries the wave on it records exactly one
+        // band, so a kernel that tries a wave on it records exactly one
         // thread-local rescue; one that goes straight to scalar records
-        // none. That makes the dispatch decision observable at the
+        // none. That makes the dispatch decision observable at each
         // threshold on either side, while the output stays scalar-exact.
+        // The path counts name which wave ran an in-band tile: AVX-512
+        // runs a short side below 64 on the 16-lane AVX2 wave, and below
+        // 32 scalar.
         let scheme = ScoreScheme::cudalign();
         for (name, kernel) in engines() {
             let lanes = lanes_of(name);
             let long = 3 * lanes + 5;
-            for (short, wave_runs) in [(vector_min(lanes) - 1, false), (vector_min(lanes), true)] {
+            let mut sides = vec![
+                (vector_min(lanes) - 1, "scalar"),
+                (vector_min(lanes), "wide"),
+            ];
+            if name == "avx512" {
+                sides = vec![
+                    (vector_min(Avx2::LANES) - 1, "scalar"),
+                    (vector_min(Avx2::LANES), "half"),
+                    (vector_min(lanes) - 1, "half"),
+                    (vector_min(lanes), "wide"),
+                ];
+            }
+            for (short, path) in sides {
                 for (bh, bw) in [(short, long), (long, short)] {
                     let a = ChromosomeGenerator::new(GenerateConfig::sized(bh, 0x55_01)).generate();
                     let b = ChromosomeGenerator::new(GenerateConfig::sized(bw, 0x55_02)).generate();
@@ -1391,18 +1558,79 @@ mod tests {
                             col_offset: 1,
                         };
                         let want = scalar_out(true, input, &scheme);
-                        let before = crate::kernel::simd_rescues_thread();
+                        let before = crate::kernel::path_counts();
                         let got = kernel.block(input, &scheme);
-                        let rescued = crate::kernel::simd_rescues_thread() - before;
+                        let paths = crate::kernel::path_counts() - before;
                         let what = format!("{name} {bh}x{bw} in_band={in_band}");
                         assert_eq!(got, want, "{what}");
-                        assert_eq!(rescued, u64::from(wave_runs && !in_band), "{what}");
-                        if wave_runs && in_band {
+                        let expect = match (path, in_band) {
+                            ("scalar", _) => PathCounts {
+                                scalar: 1,
+                                ..PathCounts::default()
+                            },
+                            (_, false) => PathCounts {
+                                rescued: 1,
+                                ..PathCounts::default()
+                            },
+                            ("half", true) => PathCounts {
+                                half: 1,
+                                ..PathCounts::default()
+                            },
+                            _ => PathCounts {
+                                wide: 1,
+                                ..PathCounts::default()
+                            },
+                        };
+                        assert_eq!(paths, expect, "{what}");
+                        if path == "wide" && in_band {
                             assert_eq!(run_wave(name, true, input, &scheme), Some(want), "{what}");
                         }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn max_on_a_corner_diagonal_beside_an_equal_dead_lane_is_exact() {
+        // An n × n tile of A against A with zero top border: each left-
+        // border value g(t) starts a matching diagonal that ends on the
+        // bottom row at (n, n − t) with g(t) + n − t. With g(2) = 5 and
+        // g(4) = 6 the tile's best is (n, l = n − 2) = n + 3 =: M, alone,
+        // and (n, l − 2) holds M − 1. The best's diagonal d = n + l has
+        // span 3 < lanes, so it runs one chunk from klo = l whose lane k =
+        // n + 1 is dead. That lane computes a phantom row n + 1 out of the
+        // padding (code 0, A): H(n, l − 2) plus a match, which is M — an
+        // equal value in the slot just past khi when the best cell is
+        // searched. The wave must report the live cell at khi.
+        let scheme = ScoreScheme::cudalign();
+        for (name, _) in engines() {
+            let lanes = lanes_of(name);
+            let n = 2 * lanes + 3;
+            let l = n - 2;
+            let m = (n + 3) as Score;
+            let all_a = vec![0u8; n];
+            let top = RowBorder::zero(n);
+            let mut left = ColBorder::zero(n);
+            left.h[2] = 5;
+            left.h[4] = 6;
+            let input = BlockInput {
+                a_rows: &all_a,
+                b_cols: &all_a,
+                top: &top,
+                left: &left,
+                row_offset: 7,
+                col_offset: 11,
+            };
+            let want = scalar_out(true, input, &scheme);
+            assert_eq!(want.best, BestCell::new(m, 7 + n - 1, 11 + l - 1), "{name}");
+            assert_eq!(want.bottom.h[l - 2] + scheme.match_score, m, "{name}");
+            let d = n + l;
+            let (klo, khi) = (d - n, n);
+            assert!(khi - klo + 1 < lanes, "{name}: d must be a corner diagonal");
+            let got = run_wave(name, true, input, &scheme)
+                .unwrap_or_else(|| panic!("{name}: unexpected rescue"));
+            assert!(got == want, "{name}: {}", first_difference(&got, &want));
         }
     }
 }

@@ -58,6 +58,7 @@ fn available_dispatches() -> Vec<KernelDispatch> {
         KernelDispatch::ForceScalar,
         KernelDispatch::ForceSse41,
         KernelDispatch::ForceAvx2,
+        KernelDispatch::ForceAvx512,
     ]
     .into_iter()
     .filter(|&d| kernel::select(d).is_ok())
@@ -139,13 +140,22 @@ fn sampled_dispatch_pruning_recovery_combos_stay_bit_identical() {
                 .with_dispatch(dispatch)
                 .with_pruning(prune)
                 .with_checkpoint(CheckpointCadence::EveryRows(4));
-            let cfg = BatchConfig::test_default()
-                .with_base(base.clone())
-                .with_large_threshold_cells(60_000)
-                .with_bins(3);
             let mut jobs = mixed_jobs(8, 0xC0_4B0 + ci as u64, 96, 224);
             jobs.extend(mixed_jobs(1, 0xC0_4F0 + ci as u64, 300, 320));
             let large_idx = jobs.len() - 1;
+            // The last pair is the one large pair, and every other pair is
+            // small, whatever lengths the seed drew: the faults below need
+            // pair 3 on the small route.
+            let cells = |j: &BatchJob| j.a.len() as u128 * j.b.len() as u128;
+            let threshold = cells(&jobs[large_idx]);
+            assert!(
+                jobs[..large_idx].iter().all(|j| cells(j) < threshold),
+                "{dispatch:?}: a small pair outgrew the large one"
+            );
+            let cfg = BatchConfig::test_default()
+                .with_base(base.clone())
+                .with_large_threshold_cells(threshold)
+                .with_bins(3);
             let want: Vec<BestCell> = jobs
                 .iter()
                 .map(|j| solo_best(j, &platform, &base))

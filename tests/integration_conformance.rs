@@ -293,12 +293,14 @@ fn watermark_is_monotone_and_never_exceeds_the_true_best() {
 }
 
 /// Every dispatch mode the host supports (forced scalar always; forced
-/// SSE4.1/AVX2 when the CPU has them), for the dispatch-axis tests below.
+/// SSE4.1/AVX2/AVX-512BW when the CPU has them), for the dispatch-axis
+/// tests below.
 fn available_dispatches() -> Vec<KernelDispatch> {
     [
         KernelDispatch::ForceScalar,
         KernelDispatch::ForceSse41,
         KernelDispatch::ForceAvx2,
+        KernelDispatch::ForceAvx512,
     ]
     .into_iter()
     .filter(|&d| kernel::select(d).is_ok())
@@ -362,6 +364,122 @@ fn every_dispatch_mode_survives_fault_recovery_bit_identically() {
             assert_eq!(report.recovery.unwrap().recoveries, 1, "{}/{d:?}", c.label);
         }
     }
+}
+
+#[test]
+fn every_dispatch_mode_is_bit_identical_on_wide_tiles() {
+    // The combos' tiles are at most 256 a side and mostly narrower, so the
+    // 32-lane wave (short side ≥ 64) meets few of them; tiles of 64, 96 and
+    // 512 a side put every engine's widest wave inside `PipelineRun`. The
+    // 512 grid divides the matrix exactly, so no edge tile is narrow: the
+    // vector engines must run every tile on a wave and none scalar by size.
+    let a = ChromosomeGenerator::new(GenerateConfig::sized(2_700, 0x4D_30)).generate();
+    let (b, _) = DivergenceModel::test_scale(0x4D_31).apply(&a);
+    let (a, b) = (&a.codes()[..2_560], &b.codes()[..2_048]);
+    let want = gotoh_best(a, b, &ScoreScheme::cudalign());
+    for side in [64usize, 96, 512] {
+        for d in available_dispatches() {
+            let mut cfg = RunConfig::paper_default().with_dispatch(d);
+            cfg.block_h = side;
+            cfg.block_w = side;
+            for cfg in [cfg.clone(), cfg.with_pruning(PruneMode::Distributed)] {
+                let label = format!("{side}/{d:?}/{:?}", cfg.policy.pruning);
+                let report = PipelineRun::new(a, b, &Platform::env1())
+                    .config(cfg)
+                    .run()
+                    .unwrap_or_else(|e| panic!("{label}: pipeline failed: {e}"));
+                assert_eq!(report.best, want, "{label}");
+                let paths = report.kernel_paths;
+                if d == KernelDispatch::ForceScalar {
+                    assert_eq!(paths, kernel::PathCounts::default(), "{label}");
+                } else {
+                    assert!(paths.wide > 0, "{label}: {paths:?}");
+                }
+                if side == 512 && d != KernelDispatch::ForceScalar {
+                    assert_eq!(paths.scalar + paths.half, 0, "{label}: {paths:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn work_counts_cover_the_whole_matrix_across_segments_and_rewinds() {
+    // Pruning, rescue and kernel-path counts are whole-run totals: a run
+    // that resumes from a checkpoint wave — at every rebalance boundary, or
+    // after a fault rewind past its first checkpoint — counts the rows
+    // above the wave through the checkpoint, each tile once. Two devices,
+    // the fault on the last: the upstream device deposits each wave before
+    // the dead one can start the row after it, so the rewind lands on the
+    // newest wave below the fault row.
+    let mut checked = 0;
+    for c in combos() {
+        let rows = c.a.len().div_ceil(c.cfg.block_h);
+        if c.platform.len() != 2 || rows <= 8 {
+            continue;
+        }
+        let tiles = (rows * c.b.len().div_ceil(c.cfg.block_w)) as u64;
+        let pruned = c.cfg.clone().with_pruning(PruneMode::Distributed);
+        let run = || PipelineRun::new(c.a.codes(), c.b.codes(), &c.platform);
+        let faulted = |cfg: RunConfig| {
+            run()
+                .config(cfg)
+                .faults(ScheduledFault {
+                    device: 1,
+                    block_row: 6,
+                    phase: FaultPhase::Compute,
+                })
+                .recover(RecoveryPolicy::default())
+                .run()
+        };
+        // With 2-row checkpoints the rebalanced fault rewinds to wave 6,
+        // inside the 4-row segment that started at row 4.
+        let runs = [
+            ("plain", run().config(pruned.clone()).run(), None),
+            (
+                "rebalanced",
+                run().config(aggressive_rebalance(&pruned)).run(),
+                None,
+            ),
+            (
+                "recovered",
+                faulted(
+                    pruned
+                        .clone()
+                        .with_checkpoint(CheckpointCadence::EveryRows(4)),
+                ),
+                Some(4),
+            ),
+            (
+                "rebalanced+recovered",
+                faulted(aggressive_rebalance(&pruned)),
+                Some(6),
+            ),
+        ];
+        for (kind, report, resumed_from) in runs {
+            let label = format!("{}/{kind}", c.label);
+            let report = report.unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
+            if let Some(row) = resumed_from {
+                let rec = report.recovery.as_ref().expect("recovery report");
+                assert_eq!(rec.resumed_from_rows, vec![row], "{label}");
+            }
+            let pr = report.pruning.as_ref().expect("pruning report");
+            assert_eq!(pr.tiles_total, tiles, "{label}");
+            assert!(pr.tiles_pruned <= pr.tiles_total, "{label}");
+            let p = report.kernel_paths;
+            let routed = p.wide + p.half + p.scalar + p.rescued;
+            if report.kernel.resolved == KernelId::Scalar {
+                assert_eq!(routed, 0, "{label}");
+            } else {
+                assert_eq!(routed, pr.tiles_total - pr.tiles_pruned, "{label}: {p:?}");
+            }
+        }
+        checked += 1;
+    }
+    assert!(
+        checked >= 4,
+        "only {checked} combos had more than 8 block-rows"
+    );
 }
 
 #[test]
