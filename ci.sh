@@ -23,6 +23,13 @@ cargo test --release -q -p megasw-multigpu --lib -- \
 # full count (at least 10k in-band tiles per available engine against the
 # scalar tile kernel; the debug run above uses a smaller count).
 cargo test --release -q -p megasw-sw --lib simd
+# One pinned in-band sweep case (anchored, band-edge borders, 30% N)
+# replayed through the MEGASW_KERNEL_REPRO path, so the sweep's one-line
+# reproduction of a failure stays wired.
+if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
+    MEGASW_KERNEL_REPRO='engine=avx2 seed=0x3d shape=45x77' \
+        cargo test --release -q -p megasw-sw --lib kernel_repro_from_env
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # No function opts out of clippy's argument-count lint: a long parameter

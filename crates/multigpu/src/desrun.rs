@@ -976,7 +976,6 @@ fn stopped_run(
             recovery: st.recovery,
             rebalance: st.rebalance,
             kernel: megasw_sw::KernelSelection::modeled(env.config.policy.dispatch),
-            simd_rescues: 0,
             kernel_paths: Default::default(),
         },
         schedule,
@@ -1158,7 +1157,6 @@ fn finalize(env: &DesEnv<'_>, st: Progress, graph: TaskGraph) -> DesRun {
         recovery: st.recovery,
         rebalance: st.rebalance,
         kernel: megasw_sw::KernelSelection::modeled(config.policy.dispatch),
-        simd_rescues: 0,
         kernel_paths: Default::default(),
     };
     DesRun {
@@ -1477,7 +1475,7 @@ mod tests {
                 d.device
             );
         }
-        assert_eq!(run.report.simd_rescues, 0);
+        assert_eq!(run.report.kernel_paths.rescued, 0);
     }
 
     #[test]

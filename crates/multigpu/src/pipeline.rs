@@ -1167,7 +1167,6 @@ fn assemble_report(
         recovery: st.recovery,
         rebalance: st.rebalance,
         kernel: ctx.selection(),
-        simd_rescues: counts.kernel_paths.rescued,
         kernel_paths: counts.kernel_paths,
     }
 }
@@ -1601,7 +1600,6 @@ fn empty_report(ctx: &RunCtx<'_>, st: Progress) -> RunReport {
         recovery: st.recovery,
         rebalance: st.rebalance,
         kernel: ctx.selection(),
-        simd_rescues: 0,
         kernel_paths: PathCounts::default(),
     }
 }

@@ -223,9 +223,14 @@ pub struct DeviceReport {
     pub slab_j0: usize,
     /// Slab width in columns.
     pub slab_width: usize,
-    /// DP cells this device computed.
+    /// DP cells this device computed in the run's final attempt (after a
+    /// recovery or a rebalance, the rows since the checkpoint it resumed
+    /// from). The threaded backend's `assemble_report` relies on this: the
+    /// checkpointed rows' cells plus every device's `cells` cover `m · n`
+    /// exactly. [`RunReport::total_cells`] is the whole-run figure.
     pub cells: u128,
-    /// Bytes this device sent to its right-hand neighbour.
+    /// Bytes this device sent to its right-hand neighbour in the final
+    /// attempt, like [`DeviceReport::cells`].
     pub bytes_sent: u64,
     /// Outgoing-ring statistics (None for the last device).
     pub ring_out: Option<RingStats>,
@@ -347,13 +352,10 @@ pub struct RunReport {
     /// actually executed tiles (threaded backend) or was modeled (DES
     /// backend).
     pub kernel: KernelSelection,
-    /// SIMD→scalar rescue re-runs the run's tiles triggered (0 on the
-    /// scalar engine and for simulated runs).
-    pub simd_rescues: u64,
     /// Tiles per vector-kernel dispatch path (all 0 on the scalar engine
-    /// and for simulated runs). Like the pruning and rescue counts, these
-    /// cover the whole matrix once, across rebalance segments and fault
-    /// rewinds.
+    /// and for simulated runs); `rescued` counts the SIMD→scalar rescue
+    /// re-runs. Like the pruning counts, these cover the whole matrix
+    /// once, across rebalance segments and fault rewinds.
     pub kernel_paths: PathCounts,
 }
 
@@ -388,6 +390,18 @@ impl RunReport {
             "Tiles re-run on the scalar kernel after a SIMD saturation rescue",
         );
         m.describe(
+            "kernel.tiles_wide",
+            "Tiles the vector engine's full-width wave computed",
+        );
+        m.describe(
+            "kernel.tiles_half",
+            "Tiles the AVX-512BW engine ran on the 16-lane AVX2 wave",
+        );
+        m.describe(
+            "kernel.tiles_scalar",
+            "Tiles too small for any vector wave, run on the scalar kernel",
+        );
+        m.describe(
             "stall.startup_ns",
             "Idle nanoseconds before each device's first kernel (pipeline fill)",
         );
@@ -404,7 +418,11 @@ impl RunReport {
             u64::try_from(self.total_cells).unwrap_or(u64::MAX),
         );
         m.incr("bytes.transferred", self.total_bytes_transferred());
-        m.incr("kernel.simd_rescues", self.simd_rescues);
+        let paths = &self.kernel_paths;
+        m.incr("kernel.simd_rescues", paths.rescued);
+        m.incr("kernel.tiles_wide", paths.wide);
+        m.incr("kernel.tiles_half", paths.half);
+        m.incr("kernel.tiles_scalar", paths.scalar);
         if let Some(g) = self.gcups_wall {
             m.observe("gcups.wall", g);
         }
@@ -603,8 +621,13 @@ impl std::fmt::Display for RunReport {
                 writeln!(f, "       attribution: {attr}")?;
             }
         }
-        if self.simd_rescues > 0 {
-            writeln!(f, "  simd rescues: {}", self.simd_rescues)?;
+        let p = &self.kernel_paths;
+        if *p != PathCounts::default() {
+            writeln!(
+                f,
+                "  kernel paths: {} wide, {} half, {} scalar; simd rescues: {}",
+                p.wide, p.half, p.scalar, p.rescued
+            )?;
         }
         Ok(())
     }
@@ -701,8 +724,12 @@ mod tests {
                 applied_at_rows: vec![16, 48],
             }),
             kernel: KernelSelection::default(),
-            simd_rescues: 2,
-            kernel_paths: PathCounts::default(),
+            kernel_paths: PathCounts {
+                wide: 40,
+                half: 7,
+                scalar: 3,
+                rescued: 2,
+            },
         }
     }
 
@@ -742,6 +769,12 @@ mod tests {
         assert_eq!(m.counter("attr.simd_rescue_ns"), Some(50_000));
         assert_eq!(m.counter("attr.other_ns"), Some(attr.other_ns));
         assert_eq!(m.counter("kernel.simd_rescues"), Some(2));
+        assert_eq!(m.counter("kernel.tiles_wide"), Some(40));
+        assert_eq!(m.counter("kernel.tiles_half"), Some(7));
+        assert_eq!(m.counter("kernel.tiles_scalar"), Some(3));
+        for family in ["simd_rescues", "tiles_wide", "tiles_half", "tiles_scalar"] {
+            assert!(m.help(&format!("kernel.{family}")).is_some(), "{family}");
+        }
         assert!(m.help("attr.compute_ns").is_some());
         assert_eq!(m.histogram("attr.stall_fraction").unwrap().count, 1);
         // The aggregate phase counters sum to the summed makespans.
@@ -774,6 +807,7 @@ mod tests {
         assert!(text.contains("stall:"));
         assert!(text.contains("attribution: compute"));
         assert!(text.contains("simd rescues: 2"));
+        assert!(text.contains("kernel paths: 40 wide, 7 half, 3 scalar"));
         assert!(text.contains("recovery:  1 recoveries"));
         assert!(text.contains("12345 cells rewound"));
         assert!(text.contains("pruning:   distributed — 25/100 tiles pruned (25.0%)"));
@@ -781,6 +815,9 @@ mod tests {
         let mut bare = report();
         bare.pruning = None;
         assert!(!bare.to_string().contains("pruning:"));
+        // Nor does a run no vector engine touched print path counts.
+        bare.kernel_paths = PathCounts::default();
+        assert!(!bare.to_string().contains("kernel paths"));
     }
 
     #[test]

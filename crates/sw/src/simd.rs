@@ -10,11 +10,20 @@
 //! AVX-512BW, 16 on AVX2, 8 on SSE4.1):
 //!
 //! * state is held per tile row `k` in seven rolling arrays (`H` at
-//!   diagonals `d`, `d−1`, `d−2`; `E`/`F` at `d`, `d−1`), so a lane load at
-//!   offset `k` reads the neighbour values of cells `(k, d−k)`. The rows
-//!   share one allocation, each placed so that slot 1 — where the chunks
-//!   of every diagonal that starts at the top row load and store — sits on
-//!   a 64-byte boundary;
+//!   diagonals `d`, `d−1`, `d−2`; the **gap arms** at `d`, `d−1`), so a
+//!   lane load at offset `k` reads the neighbour values of cells `(k, d−k)`.
+//!   A cell computes `H − (open + ext)` once and stores the arms its
+//!   neighbours read: `max(E − ext, H − open − ext)`, the `E` of the cell
+//!   to its right, and the same with `F` for the cell below it. A cell's
+//!   own `E` and `F` are thus plain loads, and the emitted `right.e` and
+//!   `bottom.f` are read from the previous diagonal's arm rows. Border
+//!   patches and the diagonal-1 seeds store arms too, computed in scalar
+//!   saturating i16 exactly as the lanes would. The rows share one
+//!   allocation, each placed so that slot 1 — where the chunks of every
+//!   diagonal that starts at the top row load and store — sits on a
+//!   64-byte boundary;
+//! * N (code ≥ 4) is stored as `0x40` in `a` and as `0x50` in `b`, so one
+//!   lane compare means "match, and not N";
 //! * sequence `b` is stored **reversed** so that ascending lane index `k`
 //!   maps to the descending column `l = d − k` with a single contiguous
 //!   load;
@@ -41,9 +50,12 @@
 //! `step` is the largest per-cell score change the scheme allows); a tile
 //! that could leave the band — or, belt and braces, one whose computed `H`
 //! values actually do — is re-run through the scalar i32 kernel and counted
-//! in [`rescue_count`]. The rescue is invisible to callers: the vector and
-//! scalar paths are bit-identical (same borders, same deterministic best
-//! cell), which the conformance matrix asserts under every dispatch mode.
+//! in [`rescue_count`]. The post-check always tracks the largest `H`; it
+//! tracks the smallest only where the local zero floor cannot bound it
+//! (anchored tiles, and local tiles whose corner lies above the band). The
+//! rescue is invisible to callers: the vector and scalar paths are
+//! bit-identical (same borders, same deterministic best cell), which the
+//! conformance matrix asserts under every dispatch mode.
 //!
 //! Out-of-band "minus infinity" lanes (`E`/`F` seeds) are pinned at
 //! [`NEG_INF16`]; the pre-scan margin guarantees any real arm of a `max`
@@ -146,7 +158,6 @@ trait Engine: Copy {
     unsafe fn min(a: Self::V, b: Self::V) -> Self::V;
     unsafe fn cmpeq(a: Self::V, b: Self::V) -> Self::V;
     unsafe fn cmpgt(a: Self::V, b: Self::V) -> Self::V;
-    unsafe fn and(a: Self::V, b: Self::V) -> Self::V;
     /// Lane-wise select: `mask` lanes all-ones take `yes`, zeros take `no`.
     unsafe fn blendv(no: Self::V, yes: Self::V, mask: Self::V) -> Self::V;
     /// Byte-granular mask of `v` (2 bits per i16 lane); nonzero iff any
@@ -201,10 +212,6 @@ impl Engine for Avx512 {
     #[inline(always)]
     unsafe fn cmpgt(a: __m512i, b: __m512i) -> __m512i {
         _mm512_movm_epi16(_mm512_cmpgt_epi16_mask(a, b))
-    }
-    #[inline(always)]
-    unsafe fn and(a: __m512i, b: __m512i) -> __m512i {
-        _mm512_and_si512(a, b)
     }
     #[inline(always)]
     unsafe fn blendv(no: __m512i, yes: __m512i, mask: __m512i) -> __m512i {
@@ -271,10 +278,6 @@ impl Engine for Avx2 {
     #[inline(always)]
     unsafe fn cmpgt(a: __m256i, b: __m256i) -> __m256i {
         _mm256_cmpgt_epi16(a, b)
-    }
-    #[inline(always)]
-    unsafe fn and(a: __m256i, b: __m256i) -> __m256i {
-        _mm256_and_si256(a, b)
     }
     #[inline(always)]
     unsafe fn blendv(no: __m256i, yes: __m256i, mask: __m256i) -> __m256i {
@@ -345,10 +348,6 @@ impl Engine for Sse41 {
     #[inline(always)]
     unsafe fn cmpgt(a: __m128i, b: __m128i) -> __m128i {
         _mm_cmpgt_epi16(a, b)
-    }
-    #[inline(always)]
-    unsafe fn and(a: __m128i, b: __m128i) -> __m128i {
-        _mm_and_si128(a, b)
     }
     #[inline(always)]
     unsafe fn blendv(no: __m128i, yes: __m128i, mask: __m128i) -> __m128i {
@@ -466,11 +465,55 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     if !fits_band(input, scheme) {
         return None;
     }
+    wave_unscanned::<E, LOCAL>(input, scheme)
+}
+
+/// [`wave`] without the pre-scan: only the band post-check guards the
+/// tile. Chooses the body once per tile by whether the low side of the
+/// band needs watching.
+///
+/// # Safety
+///
+/// As [`wave`].
+#[inline(always)]
+unsafe fn wave_unscanned<E: Engine, const LOCAL: bool>(
+    input: BlockInput<'_>,
+    scheme: &ScoreScheme,
+) -> Option<BlockOutput> {
+    // In local semantics every H is `max(…, floor16)` with `floor16 =
+    // −bias`, and `−bias ≥ −BAND` whenever `bias ≤ BAND`: no H of such a
+    // tile can fall below the band, so tracking its minimum could never
+    // trip the post-check. Every other tile tracks it.
+    if LOCAL && i64::from(input.top.h[0]) <= BAND {
+        wave_tile::<E, LOCAL, false>(input, scheme)
+    } else {
+        wave_tile::<E, LOCAL, true>(input, scheme)
+    }
+}
+
+/// The wavefront over one tile. Each vector chunk of a diagonal loads its
+/// cells' `E` and `F` from the gap-arm rows their left and upper
+/// neighbours filled on the diagonal before, computes `H`, and stores `H`
+/// and its own arms; the emitted `right.e` and `bottom.f` are read from
+/// those arm rows too (see the module docs). `MIN` tracks the smallest `H`
+/// for the low-side band post-check; [`wave_unscanned`] turns it off only
+/// where the local floor already bounds every `H` inside the band.
+///
+/// # Safety
+///
+/// As [`wave`].
+#[inline(always)]
+unsafe fn wave_tile<E: Engine, const LOCAL: bool, const MIN: bool>(
+    input: BlockInput<'_>,
+    scheme: &ScoreScheme,
+) -> Option<BlockOutput> {
+    let bh = input.a_rows.len();
+    let bw = input.b_cols.len();
     let bias = i64::from(input.top.h[0]);
 
     let lanes = E::LANES;
-    let open_ext = scheme.gap_open + scheme.gap_extend;
-    let ext = scheme.gap_extend;
+    let open_ext = (scheme.gap_open + scheme.gap_extend) as i16;
+    let ext = scheme.gap_extend as i16;
 
     let reb_h = |v: Score| -> i16 { (i64::from(v) - bias) as i16 };
     let reb_aux = |v: Score| -> i16 {
@@ -480,24 +523,34 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
             (i64::from(v) - bias) as i16
         }
     };
+    // The gap arm a border cell with `H = h` and `E` (or `F`) `= aux` hands
+    // the tile cell right of (or below) it, in the lanes' saturating i16.
+    let border_arm = |aux: Score, h: Score| -> i16 {
+        reb_aux(aux)
+            .saturating_sub(ext)
+            .max(reb_h(h).saturating_sub(open_ext))
+    };
 
     // Inputs and state rows carry one vector of padding: a corner
     // diagonal's single chunk may run up to `lanes − 1` slots past its last
-    // row (see the module docs).
+    // row (see the module docs). N (code ≥ 4) is stored as a different
+    // value on each side, so one lane compare means "match, and not N".
     let mut a16 = vec![0i16; bh + lanes];
     for (x, &c) in input.a_rows.iter().enumerate() {
-        a16[x] = i16::from(c);
+        a16[x] = if c < 4 { i16::from(c) } else { 0x40 };
     }
     // b reversed: the vector load for cells (k, d−k), k ascending, reads
     // b_rev16[bw + k − d ..] contiguously.
     let mut b_rev16 = vec![0i16; bw + lanes];
     for (x, &c) in input.b_cols.iter().enumerate() {
-        b_rev16[bw - 1 - x] = i16::from(c);
+        b_rev16[bw - 1 - x] = if c < 4 { i16::from(c) } else { 0x50 };
     }
 
     // Rolling anti-diagonal state, indexed by tile row k (0 = border row):
-    // H at diagonals d−2/d−1/d, E and F at d−1/d. Slots outside the valid
-    // range of a diagonal hold stale values that are provably never read.
+    // H at diagonals d−2/d−1/d, and the gap arms at d−1/d — slot k of the
+    // E-arm row holds the E of the cell right of (k, d−k), slot k of the
+    // F-arm row the F of the cell below it. Slots outside the valid range
+    // of a diagonal hold stale values that are provably never read.
     let mut backing = Vec::new();
     let [mut hp2, mut hp1, mut hc, mut ep, mut ec, mut fp, mut fc] =
         state_rows(&mut backing, bh + 1 + lanes);
@@ -506,8 +559,8 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     hp2[0] = reb_h(input.top.h[0]);
     hp1[0] = reb_h(input.top.h[1]);
     hp1[1] = reb_h(input.left.h[1]);
-    ep[1] = reb_aux(input.left.e[1]);
-    fp[0] = reb_aux(input.top.f[1]);
+    ep[1] = border_arm(input.left.e[1], input.left.h[1]);
+    fp[0] = border_arm(input.top.f[1], input.top.h[1]);
 
     // Rebased zero floor for local semantics. When `bias` exceeds i16 range
     // the clamp pins it at i16::MIN, which is exact: the pre-scan guarantees
@@ -515,11 +568,10 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     // true zero floor nor the clamped one can ever bind.
     let floor16: i16 = (-bias).clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16;
 
-    let v_ext = E::splat(ext as i16);
-    let v_oe = E::splat(open_ext as i16);
+    let v_ext = E::splat(ext);
+    let v_oe = E::splat(open_ext);
     let v_match = E::splat(scheme.match_score as i16);
     let v_mis = E::splat(scheme.mismatch_score as i16);
-    let v_four = E::splat(4);
     let v_floor = E::splat(floor16);
     let v_ninf = E::splat(NEG_INF16);
     let v_top = E::splat(i16::MAX);
@@ -558,41 +610,40 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         // Every lane is a real cell, so no masking is needed. A corner
         // diagonal runs one chunk from klo whose lanes past khi are dead:
         // a lane-index mask keeps them out of the min/max accumulators.
+        //
+        // A cell's E and F are the arms its left and upper neighbours
+        // stored on diagonal d−1; it stores its own arms, built from one
+        // `H − (open + ext)`, for its right and lower neighbours.
         let last = (khi + 1).saturating_sub(lanes).max(klo);
         let mut k = klo;
         loop {
-            let hd = E::loadu(hp2.as_ptr().add(k - 1));
-            let hu = E::loadu(hp1.as_ptr().add(k - 1));
-            let hl = E::loadu(hp1.as_ptr().add(k));
-            let fv = E::max(
-                E::subs(E::loadu(fp.as_ptr().add(k - 1)), v_ext),
-                E::subs(hu, v_oe),
-            );
-            let ev = E::max(
-                E::subs(E::loadu(ep.as_ptr().add(k)), v_ext),
-                E::subs(hl, v_oe),
-            );
+            let ev = E::loadu(ep.as_ptr().add(k));
+            let fv = E::loadu(fp.as_ptr().add(k - 1));
             let va = E::loadu(a16.as_ptr().add(k - 1));
             let vb = E::loadu(b_rev16.as_ptr().add(bw + k - d));
-            let mm = E::and(E::cmpeq(va, vb), E::cmpgt(v_four, va));
-            let sub = E::blendv(v_mis, v_match, mm);
-            let mut hv = E::adds(hd, sub);
+            let sub = E::blendv(v_mis, v_match, E::cmpeq(va, vb));
+            let mut hv = E::adds(E::loadu(hp2.as_ptr().add(k - 1)), sub);
             hv = E::max(hv, ev);
             hv = E::max(hv, fv);
             if LOCAL {
                 hv = E::max(hv, v_floor);
             }
+            let ho = E::subs(hv, v_oe);
             E::storeu(hc.as_mut_ptr().add(k), hv);
-            E::storeu(ec.as_mut_ptr().add(k), ev);
-            E::storeu(fc.as_mut_ptr().add(k), fv);
+            E::storeu(ec.as_mut_ptr().add(k), E::max(E::subs(ev, v_ext), ho));
+            E::storeu(fc.as_mut_ptr().add(k), E::max(E::subs(fv, v_ext), ho));
             if span < lanes {
                 let live = E::cmpgt(E::splat(span as i16), v_iota);
                 v_dmax = E::blendv(v_ninf, hv, live);
-                v_dmin = E::blendv(v_top, hv, live);
+                if MIN {
+                    v_dmin = E::blendv(v_top, hv, live);
+                }
                 break;
             }
             v_dmax = E::max(v_dmax, hv);
-            v_dmin = E::min(v_dmin, hv);
+            if MIN {
+                v_dmin = E::min(v_dmin, hv);
+            }
             if k == last {
                 break;
             }
@@ -600,17 +651,20 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         }
         // Band accumulators merge once per diagonal, not per step.
         v_maxall = E::max(v_maxall, v_dmax);
-        v_minall = E::min(v_minall, v_dmin);
+        if MIN {
+            v_minall = E::min(v_minall, v_dmin);
+        }
 
-        // Border capture (before the patches below — patched slots are
-        // border cells, never tile cells).
+        // Border capture. A cell's own F and E are the arms its upper and
+        // left neighbours stored on diagonal d−1; those rows are read
+        // before the swap, and the patches below write only diagonal d.
         if d > bh {
             bot_h16[d - bh] = hc[bh];
-            bot_f16[d - bh] = fc[bh];
+            bot_f16[d - bh] = fp[bh - 1];
         }
         if d > bw {
             rgt_h16[d - bw] = hc[d - bw];
-            rgt_e16[d - bw] = ec[d - bw];
+            rgt_e16[d - bw] = ep[d - bw];
         }
 
         // Best-cell tracking: a diagonal matters only when its max can reach
@@ -664,14 +718,16 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         }
 
         // Patch the border cells the next diagonals read: row 0 comes from
-        // the top border, column 0 from the left border.
+        // the top border, column 0 from the left border. Their arm slots
+        // take the arm the border cell hands the tile, computed as the
+        // lanes would.
         if d <= bw {
             hc[0] = reb_h(input.top.h[d]);
-            fc[0] = reb_aux(input.top.f[d]);
+            fc[0] = border_arm(input.top.f[d], input.top.h[d]);
         }
         if d <= bh {
             hc[d] = reb_h(input.left.h[d]);
-            ec[d] = reb_aux(input.left.e[d]);
+            ec[d] = border_arm(input.left.e[d], input.left.h[d]);
         }
 
         std::mem::swap(&mut hp2, &mut hp1);
@@ -682,8 +738,9 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
 
     // Belt-and-braces band check: the pre-scan margin should make this
     // unreachable, but if any computed H touched the band edge the tile is
-    // rescued rather than trusted.
-    if i64::from(E::hmax(v_maxall)) > BAND || i64::from(E::hmin(v_minall)) < -BAND {
+    // rescued rather than trusted. Without `MIN` the low side is bounded by
+    // the local floor (see [`wave_unscanned`]).
+    if i64::from(E::hmax(v_maxall)) > BAND || (MIN && i64::from(E::hmin(v_minall)) < -BAND) {
         return None;
     }
 
@@ -926,6 +983,52 @@ mod tests {
                 ("avx2", false) => wave_avx2::<false>(input, scheme),
                 ("sse41", true) => wave_sse41::<true>(input, scheme),
                 ("sse41", false) => wave_sse41::<false>(input, scheme),
+                _ => unreachable!(),
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx512bw")]
+    unsafe fn unscanned_avx512<const LOCAL: bool>(
+        input: BlockInput<'_>,
+        scheme: &ScoreScheme,
+    ) -> Option<BlockOutput> {
+        wave_unscanned::<Avx512, LOCAL>(input, scheme)
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn unscanned_avx2<const LOCAL: bool>(
+        input: BlockInput<'_>,
+        scheme: &ScoreScheme,
+    ) -> Option<BlockOutput> {
+        wave_unscanned::<Avx2, LOCAL>(input, scheme)
+    }
+
+    #[target_feature(enable = "sse4.1")]
+    unsafe fn unscanned_sse41<const LOCAL: bool>(
+        input: BlockInput<'_>,
+        scheme: &ScoreScheme,
+    ) -> Option<BlockOutput> {
+        wave_unscanned::<Sse41, LOCAL>(input, scheme)
+    }
+
+    /// [`run_wave`] without the pre-scan, so the band post-check alone
+    /// decides whether the tile is kept.
+    fn run_unscanned(
+        name: &str,
+        local: bool,
+        input: BlockInput<'_>,
+        scheme: &ScoreScheme,
+    ) -> Option<BlockOutput> {
+        // SAFETY: `engines()` only yields names whose feature check passed.
+        unsafe {
+            match (name, local) {
+                ("avx512", true) => unscanned_avx512::<true>(input, scheme),
+                ("avx512", false) => unscanned_avx512::<false>(input, scheme),
+                ("avx2", true) => unscanned_avx2::<true>(input, scheme),
+                ("avx2", false) => unscanned_avx2::<false>(input, scheme),
+                ("sse41", true) => unscanned_sse41::<true>(input, scheme),
+                ("sse41", false) => unscanned_sse41::<false>(input, scheme),
                 _ => unreachable!(),
             }
         }
@@ -1382,6 +1485,118 @@ mod tests {
         format!("cells {} != {}", got.cells, want.cells)
     }
 
+    /// Run sweep case `(seed, bh, bw)` on engine `name`: an in-band tile
+    /// must come back from the wave exact, an out-of-band one refused and
+    /// exact through the kernel's rescue. `Ok(in_band)`, or what differs.
+    fn check_case(name: &str, seed: u64, bh: usize, bw: usize) -> Result<bool, String> {
+        let (_, kernel) = engines()
+            .into_iter()
+            .find(|&(n, _)| n == name)
+            .ok_or_else(|| format!("engine `{name}` is not available on this CPU"))?;
+        let case = build_case(seed, bh, bw);
+        let input = case.input();
+        let want = scalar_out(case.local, input, &case.scheme);
+        let got = run_wave(name, case.local, input, &case.scheme);
+        if fits_band(input, &case.scheme) {
+            let got = got.ok_or_else(|| format!("{}: in-band tile was rescued", case.what))?;
+            if got != want {
+                return Err(format!(
+                    "{}: wave differs from scalar: {}",
+                    case.what,
+                    first_difference(&got, &want)
+                ));
+            }
+            return Ok(true);
+        }
+        if got.is_some() {
+            return Err(format!("{}: out-of-band tile was not refused", case.what));
+        }
+        let via = if case.local {
+            kernel.block(input, &case.scheme)
+        } else {
+            kernel.block_anchored(input, &case.scheme)
+        };
+        if via != want {
+            return Err(format!(
+                "{}: rescued tile differs from scalar: {}",
+                case.what,
+                first_difference(&via, &want)
+            ));
+        }
+        Ok(false)
+    }
+
+    /// The one-line replay of a sweep case, as `MEGASW_KERNEL_REPRO` takes
+    /// it.
+    fn kernel_repro(name: &str, seed: u64, bh: usize, bw: usize) -> String {
+        format!("engine={name} seed={seed:#x} shape={bh}x{bw}")
+    }
+
+    /// Parse [`kernel_repro`]'s form back into `(engine, seed, bh, bw)`.
+    fn parse_kernel_repro(line: &str) -> Result<(String, u64, usize, usize), String> {
+        let (mut engine, mut seed, mut shape) = (None, None, None);
+        for field in line.split_whitespace() {
+            let (key, value) = field
+                .split_once('=')
+                .ok_or_else(|| format!("`{field}` is not key=value"))?;
+            match key {
+                "engine" => engine = Some(value.to_string()),
+                "seed" => {
+                    let parsed = match value.strip_prefix("0x") {
+                        Some(hex) => u64::from_str_radix(hex, 16),
+                        None => value.parse(),
+                    };
+                    seed = Some(parsed.map_err(|e| format!("seed `{value}`: {e}"))?);
+                }
+                "shape" => {
+                    let side = |v: &str| v.parse::<usize>().ok().filter(|&n| n >= 1);
+                    shape = value
+                        .split_once('x')
+                        .and_then(|(h, w)| Some((side(h)?, side(w)?)));
+                    if shape.is_none() {
+                        return Err(format!("shape `{value}` is not BHxBW"));
+                    }
+                }
+                _ => return Err(format!("unknown key `{key}`")),
+            }
+        }
+        let (bh, bw) = shape.ok_or("missing shape=BHxBW")?;
+        Ok((
+            engine.ok_or("missing engine=")?,
+            seed.ok_or("missing seed=")?,
+            bh,
+            bw,
+        ))
+    }
+
+    /// Greedily shrink a failing shape: halve a side, else take one off,
+    /// while `fails` still holds; the smallest failing shape found.
+    fn shrink_shape(
+        mut bh: usize,
+        mut bw: usize,
+        mut fails: impl FnMut(usize, usize) -> bool,
+    ) -> (usize, usize) {
+        'shrink: loop {
+            for (h, w) in [(bh / 2, bw), (bh, bw / 2), (bh - 1, bw), (bh, bw - 1)] {
+                if h >= 1 && w >= 1 && (h, w) != (bh, bw) && fails(h, w) {
+                    (bh, bw) = (h, w);
+                    continue 'shrink;
+                }
+            }
+            return (bh, bw);
+        }
+    }
+
+    /// Shrink a failing sweep case and panic with its smallest replay.
+    fn fail_case(name: &str, seed: u64, bh: usize, bw: usize, err: String) -> ! {
+        let (h, w) = shrink_shape(bh, bw, |h, w| check_case(name, seed, h, w).is_err());
+        let err = check_case(name, seed, h, w).err().unwrap_or(err);
+        panic!(
+            "engine={name} {err}\n  MEGASW_KERNEL_REPRO='{}'",
+            kernel_repro(name, seed, h, w)
+        );
+    }
+
     #[test]
     fn differential_sweep_matches_scalar_on_every_residue_and_border_kind() {
         // Every available engine against the scalar tile kernel, whole
@@ -1389,14 +1604,15 @@ mod tests {
         // bw mod lanes) residue for sides 2·lanes ..< 4·lanes, so every
         // ragged-span length meets the overlapped last chunk, then strips up
         // to 512 × 4096 and random shapes. Every case the pre-scan admits
-        // must come back `Some` and exact; the rest must be refused.
+        // must come back `Some` and exact; the rest must be refused. A
+        // failure is shrunk and reported as a `MEGASW_KERNEL_REPRO` line.
         const SEED: u64 = 0x5eed_0d1f_f000_0000;
         let (tiles, side_max) = if cfg!(debug_assertions) {
             (1_500, 160)
         } else {
             (12_000, 320)
         };
-        for (e, (name, kernel)) in engines().into_iter().enumerate() {
+        for (e, (name, _)) in engines().into_iter().enumerate() {
             let lanes = lanes_of(name);
             let mut shapes: Vec<(usize, usize)> = (2 * lanes..4 * lanes)
                 .flat_map(|bh| (2 * lanes..4 * lanes).map(move |bw| (bh, bw)))
@@ -1417,40 +1633,11 @@ mod tests {
             }
             let (mut in_band, mut refused) = (0usize, 0usize);
             for (x, &(bh, bw)) in shapes.iter().enumerate() {
-                let case = build_case(SEED ^ ((e as u64) << 40) ^ x as u64, bh, bw);
-                let input = case.input();
-                let want = scalar_out(case.local, input, &case.scheme);
-                let got = run_wave(name, case.local, input, &case.scheme);
-                if fits_band(input, &case.scheme) {
-                    in_band += 1;
-                    let got = got.unwrap_or_else(|| {
-                        panic!("engine={name} {}: in-band tile was rescued", case.what)
-                    });
-                    if got != want {
-                        panic!(
-                            "engine={name} {}: wave differs from scalar: {}",
-                            case.what,
-                            first_difference(&got, &want)
-                        );
-                    }
-                } else {
-                    refused += 1;
-                    assert!(
-                        got.is_none(),
-                        "engine={name} {}: out-of-band tile was not refused",
-                        case.what
-                    );
-                    let via = if case.local {
-                        kernel.block(input, &case.scheme)
-                    } else {
-                        kernel.block_anchored(input, &case.scheme)
-                    };
-                    assert!(
-                        via == want,
-                        "engine={name} {}: rescued tile differs from scalar: {}",
-                        case.what,
-                        first_difference(&via, &want)
-                    );
+                let seed = SEED ^ ((e as u64) << 40) ^ x as u64;
+                match check_case(name, seed, bh, bw) {
+                    Ok(true) => in_band += 1,
+                    Ok(false) => refused += 1,
+                    Err(err) => fail_case(name, seed, bh, bw, err),
                 }
             }
             let floor = if cfg!(debug_assertions) {
@@ -1464,6 +1651,62 @@ mod tests {
             );
             eprintln!("{name}: {in_band} in-band tiles exact, {refused} out-of-band refused");
         }
+    }
+
+    #[test]
+    fn kernel_repro_from_env() {
+        // Replays the sweep case in MEGASW_KERNEL_REPRO, so a failure's
+        // one-liner is directly actionable:
+        //   MEGASW_KERNEL_REPRO='engine=avx2 seed=0x… shape=BHxBW' \
+        //       cargo test --release -p megasw-sw --lib kernel_repro_from_env
+        let Ok(line) = std::env::var("MEGASW_KERNEL_REPRO") else {
+            return;
+        };
+        let (name, seed, bh, bw) =
+            parse_kernel_repro(&line).unwrap_or_else(|e| panic!("MEGASW_KERNEL_REPRO: {e}"));
+        match check_case(&name, seed, bh, bw) {
+            Ok(in_band) => eprintln!(
+                "replayed {}: {} ({})",
+                kernel_repro(&name, seed, bh, bw),
+                if in_band {
+                    "in band, exact"
+                } else {
+                    "out of band, refused and rescued exactly"
+                },
+                build_case(seed, bh, bw).what
+            ),
+            Err(err) => panic!(
+                "repro failed: {err}\n  MEGASW_KERNEL_REPRO='{}'",
+                kernel_repro(&name, seed, bh, bw)
+            ),
+        }
+    }
+
+    #[test]
+    fn kernel_repro_round_trips_and_the_shrinker_finds_the_smallest_shape() {
+        let line = kernel_repro("avx2", 0x5eed_0d1f_f000_0123, 64, 80);
+        assert_eq!(
+            parse_kernel_repro(&line),
+            Ok(("avx2".to_string(), 0x5eed_0d1f_f000_0123, 64, 80))
+        );
+        assert_eq!(
+            parse_kernel_repro("engine=sse41 seed=17 shape=9x3"),
+            Ok(("sse41".to_string(), 17, 9, 3))
+        );
+        for bad in [
+            "engine=avx2 seed=0x1",
+            "engine=avx2 seed=0x1 shape=0x4",
+            "engine=avx2 seed=zz shape=4x4",
+            "engine=avx2 seed=1 shape=4x4 extra=1",
+        ] {
+            assert!(parse_kernel_repro(bad).is_err(), "{bad}");
+        }
+        // A synthetic failure that needs both sides large enough shrinks to
+        // exactly its threshold, whichever side it starts on.
+        let fails = |h: usize, w: usize| h >= 37 && w >= 50;
+        assert_eq!(shrink_shape(300, 400, fails), (37, 50));
+        assert_eq!(shrink_shape(37, 4096, fails), (37, 50));
+        assert_eq!(shrink_shape(1, 1, |_, _| true), (1, 1));
     }
 
     #[test]
@@ -1631,6 +1874,209 @@ mod tests {
             let got = run_wave(name, true, input, &scheme)
                 .unwrap_or_else(|| panic!("{name}: unexpected rescue"));
             assert!(got == want, "{name}: {}", first_difference(&got, &want));
+        }
+    }
+
+    #[test]
+    fn local_tiles_at_the_min_tracking_boundary_are_exact() {
+        // The wave drops the low-side min tracking on local tiles whose
+        // corner bias is at most BAND, where the zero floor (rebased −bias)
+        // bounds every H. Both sides of that boundary are pinned:
+        // * through the pre-scan, a tile at bias BAND and one at BAND + 1,
+        //   each with a left-border value at the lowest the pre-scan admits,
+        //   must be exact on the engine's wide wave, not rescued;
+        // * without the pre-scan, all-N tiles under steep penalties, whose
+        //   cells sink from the corner to the zero floor, which rebases to
+        //   −BAND at bias BAND (in band: exact) and to −BAND − 1 at
+        //   BAND + 1, which the post-check must refuse.
+        let scheme = ScoreScheme::cudalign();
+        let steep = ScoreScheme {
+            match_score: 1,
+            mismatch_score: -1_000,
+            gap_open: 500,
+            gap_extend: 500,
+        };
+        let step_down =
+            i64::from(scheme.gap_open + scheme.gap_extend).max(-i64::from(scheme.mismatch_score));
+        for (name, kernel) in engines() {
+            let n = 3 * lanes_of(name) + 5;
+            let a = ChromosomeGenerator::new(GenerateConfig::sized(n, 0x56_01)).generate();
+            let b = ChromosomeGenerator::new(GenerateConfig::sized(n, 0x56_02)).generate();
+            let all_n = vec![4u8; n];
+            for bias in [BAND, BAND + 1] {
+                let what = format!("{name} bias={bias}");
+                let top = RowBorder {
+                    h: vec![bias as Score; n + 1],
+                    f: vec![NEG_INF; n + 1],
+                };
+                let mut left = ColBorder {
+                    h: vec![bias as Score; n + 1],
+                    e: vec![NEG_INF; n + 1],
+                };
+                left.h[n / 2] = (bias - BAND + (2 * n + 4) as i64 * step_down) as Score;
+                let input = BlockInput {
+                    a_rows: a.codes(),
+                    b_cols: b.codes(),
+                    top: &top,
+                    left: &left,
+                    row_offset: 300,
+                    col_offset: 700,
+                };
+                assert!(
+                    fits_band(input, &scheme),
+                    "{what}: edge value must be admitted"
+                );
+                let mut below = left.clone();
+                below.h[n / 2] -= 1;
+                let edge_input = BlockInput {
+                    left: &below,
+                    ..input
+                };
+                assert!(
+                    !fits_band(edge_input, &scheme),
+                    "{what}: must sit at the edge"
+                );
+                let want = scalar_out(true, input, &scheme);
+                let before = crate::kernel::path_counts();
+                let got = kernel.block(input, &scheme);
+                let paths = crate::kernel::path_counts() - before;
+                assert!(got == want, "{what}: {}", first_difference(&got, &want));
+                let wide = PathCounts {
+                    wide: 1,
+                    ..PathCounts::default()
+                };
+                assert_eq!(paths, wide, "{what}: must run the wide wave, unrescued");
+
+                let mut sink_top = RowBorder::zero(n);
+                let mut sink_left = ColBorder::zero(n);
+                sink_top.h[0] = bias as Score;
+                sink_left.h[0] = bias as Score;
+                let sink = BlockInput {
+                    a_rows: &all_n,
+                    b_cols: &all_n,
+                    top: &sink_top,
+                    left: &sink_left,
+                    ..input
+                };
+                assert!(
+                    !fits_band(sink, &steep),
+                    "{what}: the pre-scan refuses the sink"
+                );
+                let want = scalar_out(true, sink, &steep);
+                assert_eq!(want.bottom.h[n], 0, "{what}: cells must sink to the floor");
+                let got = run_unscanned(name, true, sink, &steep);
+                if bias == BAND {
+                    let got = got.unwrap_or_else(|| panic!("{what}: floor at −BAND refused"));
+                    assert!(got == want, "{what}: {}", first_difference(&got, &want));
+                } else {
+                    assert!(got.is_none(), "{what}: floor below −BAND was kept");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn anchored_tile_sinking_below_the_band_is_refused() {
+        // Anchored tiles have no floor, so they keep the low-side min
+        // tracking whatever their bias. Corner 0, every other border value
+        // at −27 500, all-N sequences and steep penalties: cells sink past
+        // −BAND within a few steps of the border. The pre-scan refuses the
+        // tile; so must the post-check alone, and the kernel's rescue must
+        // still be exact.
+        let scheme = ScoreScheme {
+            match_score: 1,
+            mismatch_score: -1_000,
+            gap_open: 500,
+            gap_extend: 500,
+        };
+        for (name, kernel) in engines() {
+            let n = 3 * lanes_of(name) + 5;
+            let all_n = vec![4u8; n];
+            let low: Score = -27_500;
+            let mut top = RowBorder {
+                h: vec![low; n + 1],
+                f: vec![NEG_INF; n + 1],
+            };
+            let mut left = ColBorder {
+                h: vec![low; n + 1],
+                e: vec![NEG_INF; n + 1],
+            };
+            top.h[0] = 0;
+            left.h[0] = 0;
+            let input = BlockInput {
+                a_rows: &all_n,
+                b_cols: &all_n,
+                top: &top,
+                left: &left,
+                row_offset: 40,
+                col_offset: 90,
+            };
+            let want = scalar_out(false, input, &scheme);
+            assert!(
+                want.bottom.h.iter().any(|&h| i64::from(h) < -BAND),
+                "{name}: cells must cross −BAND"
+            );
+            assert!(
+                run_wave(name, false, input, &scheme).is_none(),
+                "{name}: pre-scan"
+            );
+            assert!(
+                run_unscanned(name, false, input, &scheme).is_none(),
+                "{name}: the post-check kept an anchored tile below −BAND"
+            );
+            let before = crate::kernel::path_counts();
+            let via = kernel.block_anchored(input, &scheme);
+            assert_eq!((crate::kernel::path_counts() - before).rescued, 1, "{name}");
+            assert!(via == want, "{name}: {}", first_difference(&via, &want));
+        }
+    }
+
+    #[test]
+    fn n_against_n_mismatches_in_an_overlapped_chunk_and_on_a_corner_diagonal() {
+        // N is stored as a different value in `a16` and `b_rev16`, so one
+        // lane compare means "match, and not N". Put N on both sides of one
+        // cell of an all-A tile, where scoring it as a match would lift a
+        // whole matching diagonal: once at a cell two chunks of a ragged
+        // diagonal both compute (the overlapped last chunk), once on a
+        // corner diagonal shorter than one vector.
+        let scheme = ScoreScheme::cudalign();
+        for (name, _) in engines() {
+            let lanes = lanes_of(name);
+            let n = 2 * lanes + 3;
+            // Overlap: d = lanes + 4 from klo = 1 to khi = lanes + 3; the
+            // chunks start at 1 and at last = 4, so k = 4 is in both.
+            let (k, d) = (4, lanes + 4);
+            let (klo, khi) = (1, d - 1);
+            let last = khi + 1 - lanes;
+            assert!(k >= last && k < klo + lanes && (khi - klo + 1) % lanes != 0);
+            // Corner: d = 2n − 1 spans rows n − 1 ..= n.
+            let corner = (n, 2 * n - 1);
+            assert!(corner.0 - (corner.1 - n) + 1 < lanes);
+            for (k, d, place) in [(k, d, "overlapped chunk"), (corner.0, corner.1, "corner")] {
+                let mut a = vec![0u8; n];
+                let mut b = vec![0u8; n];
+                a[k - 1] = 4;
+                b[d - k - 1] = 4;
+                for local in [true, false] {
+                    let (top, left) = origin_borders(local, n, n, 1, 1, &scheme);
+                    let input = BlockInput {
+                        a_rows: &a,
+                        b_cols: &b,
+                        top: &top,
+                        left: &left,
+                        row_offset: 1,
+                        col_offset: 1,
+                    };
+                    let want = scalar_out(local, input, &scheme);
+                    let got = run_wave(name, local, input, &scheme)
+                        .unwrap_or_else(|| panic!("{name} {place}: unexpected rescue"));
+                    assert!(
+                        got == want,
+                        "{name} {place} local={local}: {}",
+                        first_difference(&got, &want)
+                    );
+                }
+            }
         }
     }
 }

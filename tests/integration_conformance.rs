@@ -474,6 +474,41 @@ fn work_counts_cover_the_whole_matrix_across_segments_and_rewinds() {
                 assert_eq!(routed, pr.tiles_total - pr.tiles_pruned, "{label}: {p:?}");
             }
         }
+        // The DES twin counts the same grid once across its segments and
+        // its rewind.
+        let sim = |cfg: RunConfig| {
+            DesSim::new(c.a.len(), c.b.len(), &c.platform)
+                .config(cfg)
+                .identity(0.95)
+        };
+        let des_runs = [
+            ("des-plain", sim(pruned.clone()).run()),
+            ("des-rebalanced", sim(aggressive_rebalance(&pruned)).run()),
+            (
+                "des-recovered",
+                sim(pruned
+                    .clone()
+                    .with_checkpoint(CheckpointCadence::EveryRows(4)))
+                .faults(ScheduledFault {
+                    device: 1,
+                    block_row: 6,
+                    phase: FaultPhase::Compute,
+                })
+                .recover(RecoveryPolicy::default())
+                .run(),
+            ),
+        ];
+        for (kind, run) in des_runs {
+            let label = format!("{}/{kind}", c.label);
+            assert!(run.aborted.is_none(), "{label}: {:?}", run.aborted);
+            if kind == "des-recovered" {
+                let rec = run.report.recovery.as_ref().expect("recovery report");
+                assert_eq!(rec.recoveries, 1, "{label}");
+            }
+            let pr = run.report.pruning.as_ref().expect("pruning report");
+            assert_eq!(pr.tiles_total, tiles, "{label}");
+            assert!(pr.tiles_pruned <= pr.tiles_total, "{label}");
+        }
         checked += 1;
     }
     assert!(
